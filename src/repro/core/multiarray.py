@@ -51,6 +51,7 @@ from repro.schedulers.base import (
     ShareHeap,
     StartDecision,
     UsageLedger,
+    next_tenant,
 )
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import (
@@ -451,7 +452,7 @@ class MultiArrayScheduler(Scheduler):
         while True:
             if heap is None:
                 entry = None
-                tenant_id = self._next_tenant(
+                tenant_id = next_tenant(
                     queues, self._gpu_ledger, total.cpus, total.gpus, blocked
                 )
             else:
@@ -867,7 +868,7 @@ class MultiArrayScheduler(Scheduler):
         while scan_inference:
             if heap is None:
                 entry = None
-                tenant_id = self._next_tenant(
+                tenant_id = next_tenant(
                     self._inference_queues, self._cpu_ledger, total.cpus,
                     total.gpus, blocked,
                 )
@@ -906,7 +907,7 @@ class MultiArrayScheduler(Scheduler):
         while True:
             if heap is None:
                 entry = None
-                tenant_id = self._next_tenant(
+                tenant_id = next_tenant(
                     self._cpu_queues, self._cpu_ledger, total.cpus,
                     total.gpus, blocked,
                 )
@@ -1100,22 +1101,3 @@ class MultiArrayScheduler(Scheduler):
             heap.invalidate()
         self._gpu_idle_prev = self.gpu_queue_empty()
         self._place_memo = {}
-
-    # --------------------------- shared ------------------------------- #
-
-    @staticmethod
-    def _next_tenant(
-        queues: Dict[int, Deque],
-        ledger: UsageLedger,
-        total_cpus: int,
-        total_gpus: int,
-        blocked: Set[int],
-    ) -> Optional[int]:
-        best_id, best_share = None, None
-        for tenant_id, queue in queues.items():
-            if not queue or tenant_id in blocked:
-                continue
-            share = ledger.dominant_share(tenant_id, total_cpus, total_gpus)
-            if best_share is None or (share, tenant_id) < (best_share, best_id):
-                best_id, best_share = tenant_id, share
-        return best_id

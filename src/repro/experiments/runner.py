@@ -17,7 +17,8 @@ a simulated cluster:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -107,6 +108,15 @@ class _RunningGpu:
     allocation: Optional[Allocation] = None
     interconnect: Any = None
     nodes: Optional[List[Any]] = None
+    #: Work to completion and the completion timer's tag, fixed for the
+    #: record's lifetime.  Plain attributes, not properties: the
+    #: ``_aim_completion`` hot path reads them on every reprice.
+    total_work: float = field(init=False)
+    done_tag: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.total_work = self.job.total_iterations
+        self.done_tag = f"gpu-done:{self.job.job_id}"
 
 
 @dataclass
@@ -128,6 +138,16 @@ class _RunningCpu:
     #: The home Node object, fixed for the record's lifetime; pinned so
     #: repricing skips the per-call cluster lookup.
     node: Any = None
+    #: See _RunningGpu.total_work.
+    total_work: float = field(init=False)
+    done_tag: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.total_work = self.job.duration_s
+        self.done_tag = f"cpu-done:{self.job.job_id}"
+
+
+_Running = Union[_RunningGpu, _RunningCpu]
 
 
 @dataclass
@@ -619,28 +639,7 @@ class SimulationRunner(SchedulerContext):
     # ------------------------------------------------------------------ #
     # Progress-based execution
 
-    def _gpu_contention(self, job_id: str) -> ContentionState:
-        """Worst-case contention across the job's nodes: iterations are
-        paced by the slowest participant."""
-        allocation = self.cluster.allocation_of(job_id)
-        grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
-        for share in allocation.shares:
-            node = self.cluster.node(share.node_id)
-            grant = min(grant, node.bandwidth.grant_ratio(job_id))
-            pressure = max(pressure, node.bandwidth.pressure)
-            llc = max(llc, node.llc_pressure)
-            pcie = min(pcie, node.pcie.grant_ratio())
-        grant = max(grant, 1e-6)
-        return ContentionState(
-            bw_grant_ratio=grant,
-            node_bw_pressure=pressure,
-            llc_pressure=llc,
-            pcie_grant_ratio=pcie,
-        )
-
-    def _accrue(
-        self, record: "Union[_RunningGpu, _RunningCpu]", now: float
-    ) -> None:
+    def _accrue(self, record: _Running, now: float) -> None:
         span = now - record.last_update
         if span > 0:
             record.work_done += record.speed * span
@@ -693,7 +692,7 @@ class SimulationRunner(SchedulerContext):
                 if record.last_update == now and record.completion is not None:
                     return  # same instant, same epochs: armed target holds
                 self._accrue(record, now)
-                self._aim_gpu_completion(record, now)
+                self._aim_completion(record, now)
                 return
         self._accrue(record, now)
         # Worst-case contention across the job's nodes (iterations are
@@ -727,28 +726,7 @@ class SimulationRunner(SchedulerContext):
                 node.set_gpu_utilization(job_id, record.utilization)
             record.state_memo = state_key
         record.reprice_memo = fingerprint
-        self._aim_gpu_completion(record, now)
-
-    def _aim_gpu_completion(self, record: _RunningGpu, now: float) -> None:
-        job_id = record.job.job_id
-        remaining = record.job.total_iterations - record.work_done
-        target = now + max(0.0, remaining / record.speed)
-        record.completion_time = target
-        completion = record.completion
-        if completion is not None:
-            if not self._eager_resched and target >= completion.time:
-                # Completion moved later (or held): leave the armed timer
-                # alone.  It fires stale, detects that completion_time is
-                # still ahead, and re-arms itself (validate-on-pop) —
-                # cheaper than a cancel+push on every node touch.
-                return
-            completion.cancel()
-        record.completion = self.engine.schedule(
-            target,
-            lambda job_id=job_id: self._on_gpu_complete(job_id),
-            priority=EventPriority.COMPLETION,
-            tag=f"gpu-done:{job_id}",
-        )
+        self._aim_completion(record, now)
 
     def _reprice_cpu(self, record: _RunningCpu) -> None:
         now = self.engine.now
@@ -771,7 +749,7 @@ class SimulationRunner(SchedulerContext):
                 if record.last_update == now and record.completion is not None:
                     return
                 self._accrue(record, now)
-                self._aim_cpu_completion(record, now)
+                self._aim_completion(record, now)
                 return
         self._accrue(record, now)
         core_factor = record.cores / record.job.cores
@@ -787,23 +765,30 @@ class SimulationRunner(SchedulerContext):
             1e-9, core_factor * bw_factor * record.straggle_factor
         )
         record.reprice_memo = fingerprint
-        self._aim_cpu_completion(record, now)
+        self._aim_completion(record, now)
 
-    def _aim_cpu_completion(self, record: _RunningCpu, now: float) -> None:
-        job_id = record.job.job_id
-        remaining = record.job.duration_s - record.work_done
+    def _aim_completion(self, record: _Running, now: float) -> None:
+        remaining = record.total_work - record.work_done
         target = now + max(0.0, remaining / record.speed)
         record.completion_time = target
         completion = record.completion
         if completion is not None:
             if not self._eager_resched and target >= completion.time:
-                return  # later-moving completion: fire stale, re-arm then
+                # Completion moved later (or held): leave the armed timer
+                # alone.  It fires stale, detects that completion_time is
+                # still ahead, and re-arms itself (validate-on-pop) —
+                # cheaper than a cancel+push on every node touch.
+                return
             completion.cancel()
+        self._arm_completion(record, target)
+
+    def _arm_completion(self, record: _Running, when: float) -> None:
+        job_id = record.job.job_id
         record.completion = self.engine.schedule(
-            target,
-            lambda job_id=job_id: self._on_cpu_complete(job_id),
+            when,
+            lambda job_id=job_id: self._on_complete(job_id),
             priority=EventPriority.COMPLETION,
-            tag=f"cpu-done:{job_id}",
+            tag=record.done_tag,
         )
 
     def _refresh_nodes(self, node_ids: Set[int]) -> None:
@@ -839,108 +824,70 @@ class SimulationRunner(SchedulerContext):
     # ------------------------------------------------------------------ #
     # Completions and preemptions
 
-    def _stale_completion_fire(self, record, tag_family: str, rearm) -> bool:
-        """Validate-on-pop for lazy completion timers.
-
-        Repricing that moves a completion *later* leaves the armed event
-        in place (see ``_aim_*_completion``); when that event fires the
-        record's authoritative ``completion_time`` is still ahead, so the
-        fire is stale: re-arm at the authoritative time, count it, and
-        book the (tiny) cost under the ``completion-stale`` profiler
-        category so completion accounting stays honest.  Under the eager
-        hatch armed time always equals ``completion_time`` and this never
-        triggers.
-        """
-        job_id = record.job.job_id
-        if record.completion_time <= self.engine.now:
-            return False
-        record.completion = self.engine.schedule(
-            record.completion_time,
-            rearm,
-            priority=EventPriority.COMPLETION,
-            tag=f"{tag_family}:{job_id}",
-        )
-        self._stale_timer_fires += 1
-        self.engine.recategorize_current_event("completion-stale")
-        profiling.count("completion-stale")
-        return True
-
-    def _on_gpu_complete(self, job_id: str) -> None:
-        record = self._running_gpu[job_id]
-        if self._stale_completion_fire(
-            record,
-            "gpu-done",
-            lambda job_id=job_id: self._on_gpu_complete(job_id),
-        ):
-            return
-        del self._running_gpu[job_id]
+    def _on_complete(self, job_id: str) -> None:
+        record = self._running_gpu.get(job_id) or self._running_cpu[job_id]
         now = self.engine.now
-        allocation = self.cluster.release(job_id)
+        if record.completion_time > now:
+            # Validate-on-pop: repricing moved the completion later and
+            # left this timer armed early (see ``_aim_completion``), so
+            # the fire is stale.  Re-arm at the authoritative time, count
+            # it, and book its (tiny) cost under ``completion-stale`` so
+            # completion accounting stays honest.  Under the eager hatch
+            # the armed time always equals ``completion_time`` and this
+            # never triggers.
+            self._arm_completion(record, record.completion_time)
+            self._stale_timer_fires += 1
+            self.engine.recategorize_current_event("completion-stale")
+            profiling.count("completion-stale")
+            return
+        _, allocation = self._stop(job_id)
         self.collector.job_finished(job_id, now)
+        if isinstance(record, _RunningGpu):
+            cores = {"cores_per_node": record.cores_per_node}
+        else:
+            cores = {"cores": record.cores}
         self._audit(
             "finished",
             record.job,
-            cores_per_node=record.cores_per_node,
+            **cores,
             queueing_s=self.collector.records[job_id].queueing_time,
         )
         self.scheduler.job_finished(record.job, now)
         self._refresh_nodes(set(allocation.node_ids))
         self.request_schedule()
 
-    def _on_cpu_complete(self, job_id: str) -> None:
-        record = self._running_cpu[job_id]
-        if self._stale_completion_fire(
-            record,
-            "cpu-done",
-            lambda job_id=job_id: self._on_cpu_complete(job_id),
-        ):
-            return
-        del self._running_cpu[job_id]
-        now = self.engine.now
-        self.cluster.release(job_id)
-        self.collector.job_finished(job_id, now)
-        self._audit(
-            "finished",
-            record.job,
-            cores=record.cores,
-            queueing_s=self.collector.records[job_id].queueing_time,
-        )
-        self.scheduler.job_finished(record.job, now)
-        self._refresh_nodes({record.node_id})
-        self.request_schedule()
+    def _stop(self, job_id: str) -> Tuple[_Running, Allocation]:
+        """Tear a running job down: drop its record, accrue its progress
+        to now, cancel its completion timer (a no-op for the timer now
+        firing) and release its allocation."""
+        record = self._running_gpu.pop(job_id, None) or self._running_cpu.pop(job_id)
+        self._accrue(record, self.engine.now)
+        record.completion.cancel()
+        return record, self.cluster.release(job_id)
+
+    def _is_running(self, job_id: str) -> bool:
+        return job_id in self._running_gpu or job_id in self._running_cpu
 
     def _execute_preempt(self, decision: PreemptDecision) -> None:
         job_id = decision.job_id
-        now = self.engine.now
-        if job_id in self._running_gpu:
-            gpu_record = self._running_gpu.pop(job_id)
-            self._accrue(gpu_record, now)
-            gpu_record.completion.cancel()
-            if decision.preserve_progress:
-                self._stashed_progress[job_id] = gpu_record.work_done
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job: Job = gpu_record.job
-            preserve = decision.preserve_progress
-        elif job_id in self._running_cpu:
-            cpu_record = self._running_cpu.pop(job_id)
-            cpu_record.completion.cancel()
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job = cpu_record.job
-            preserve = False  # aborted CPU jobs restart from scratch
-        else:
+        if not self._is_running(job_id):
             raise RuntimeError(f"cannot preempt {job_id}: not running")
+        record, allocation = self._stop(job_id)
+        # Aborted CPU jobs restart from scratch.
+        preserve = decision.preserve_progress and isinstance(record, _RunningGpu)
+        if preserve:
+            self._stashed_progress[job_id] = record.work_done
+        now = self.engine.now
         self._preemptions += 1
         self.collector.job_preempted(job_id, now)
         self._audit(
             "preempted",
-            job,
+            record.job,
             reason=decision.reason,
             progress_preserved=preserve,
         )
-        self.scheduler.job_preempted(job, now, preserve_progress=preserve)
-        self._refresh_nodes(touched)
+        self.scheduler.job_preempted(record.job, now, preserve_progress=preserve)
+        self._refresh_nodes(set(allocation.node_ids))
 
     # ------------------------------------------------------------------ #
     # Infrastructure failures (driven by a FaultInjector)
@@ -1099,39 +1046,25 @@ class SimulationRunner(SchedulerContext):
 
     def _execute_failure(self, job_id: str, *, reason: str) -> None:
         """Kill one running job because its hardware failed."""
-        now = self.engine.now
-        if job_id in self._running_gpu:
-            gpu_record = self._running_gpu.pop(job_id)
-            self._accrue(gpu_record, now)
-            gpu_record.completion.cancel()
-            checkpoint = gpu_record.job.checkpointed_iterations(
-                gpu_record.work_done
-            )
-            self.collector.faults.lost_gpu_iterations += max(
-                0.0, gpu_record.work_done - checkpoint
-            )
+        if not self._is_running(job_id):
+            return  # already gone (e.g., completed at this same instant)
+        record, allocation = self._stop(job_id)
+        faults = self.collector.faults
+        if isinstance(record, _RunningGpu):
+            checkpoint = record.job.checkpointed_iterations(record.work_done)
+            faults.lost_gpu_iterations += max(0.0, record.work_done - checkpoint)
             if checkpoint > 0:
                 self._stashed_progress[job_id] = checkpoint
             else:
                 self._stashed_progress.pop(job_id, None)
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job: Job = gpu_record.job
-        elif job_id in self._running_cpu:
-            cpu_record = self._running_cpu.pop(job_id)
-            self._accrue(cpu_record, now)
-            cpu_record.completion.cancel()
-            self.collector.faults.lost_cpu_seconds += cpu_record.work_done
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job = cpu_record.job
         else:
-            return  # already gone (e.g., completed at this same instant)
-        self.collector.faults.restarts += 1
+            faults.lost_cpu_seconds += record.work_done
+        now = self.engine.now
+        faults.restarts += 1
         self.collector.job_failed(job_id, now)
-        self._audit("failed", job, reason=reason)
-        self.scheduler.job_failed(job, now)
-        self._refresh_nodes(touched)
+        self._audit("failed", record.job, reason=reason)
+        self.scheduler.job_failed(record.job, now)
+        self._refresh_nodes(set(allocation.node_ids))
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -1310,15 +1243,11 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(tag, self._on_sample)
             elif tag == "schedule-pass":
                 engine.rearm(tag, self._run_pass)
-            elif family == "gpu-done":
+            elif family in ("gpu-done", "cpu-done"):
                 job_id = tag.partition(":")[2]
-                self._running_gpu[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_gpu_complete(job_id)
-                )
-            elif family == "cpu-done":
-                job_id = tag.partition(":")[2]
-                self._running_cpu[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_cpu_complete(job_id)
+                record = self._running_gpu.get(job_id) or self._running_cpu[job_id]
+                record.completion = engine.rearm(
+                    tag, lambda job_id=job_id: self._on_complete(job_id)
                 )
             elif family == "straggler-end":
                 _, job_id, incarnation, _count = tag.split(":")
@@ -1334,15 +1263,11 @@ class SimulationRunner(SchedulerContext):
                     tag,
                     lambda node_id=node_id: self._on_quarantine_end(node_id),
                 )
-        for job_id, gpu_record in self._running_gpu.items():
-            if gpu_record.completion is None:
+        for job_id, running in chain(
+            self._running_gpu.items(), self._running_cpu.items()
+        ):
+            if running.completion is None:
                 raise RuntimeError(
-                    f"restore left running GPU job {job_id} without a "
-                    "completion event"
-                )
-        for job_id, cpu_record in self._running_cpu.items():
-            if cpu_record.completion is None:
-                raise RuntimeError(
-                    f"restore left running CPU job {job_id} without a "
+                    f"restore left running job {job_id} without a "
                     "completion event"
                 )

@@ -5,7 +5,7 @@ each a bag of *independent, deterministic* (scenario, scheduler, seed)
 runs.  This package gives every multi-run entry point two order-of-
 magnitude levers on top of the single-run hot-path work:
 
-* :class:`SimPool` — process-level fan-out over a ``spawn`` worker pool,
+* :class:`SimPool` — process-level fan-out over supervised ``spawn`` workers,
   byte-identical to serial execution and ordered by spec, not completion;
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (:class:`RunSpec`, code fingerprint), so unchanged inputs skip the

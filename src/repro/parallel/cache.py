@@ -31,11 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.experiments.runner import RunResult
-from repro.metrics.serialize import (
-    RESULT_SCHEMA_VERSION,
-    run_result_from_dict,
-    run_result_to_dict,
-)
+from repro.metrics.serialize import RESULT_SCHEMA_VERSION, run_result_from_dict
 from repro.parallel.spec import RunSpec
 
 #: Default cache directory, relative to the working directory.
@@ -171,9 +167,6 @@ class ResultCache:
         )
         os.replace(tmp, path)
         return path
-
-    def store_result(self, key: str, result: RunResult) -> Optional[Path]:
-        return self.store(key, run_result_to_dict(result))
 
     # ------------------------------------------------------------------ #
     # Introspection

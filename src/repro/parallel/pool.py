@@ -1,9 +1,9 @@
 """The process-level fan-out pool.
 
 :class:`SimPool` executes independent :class:`~repro.parallel.RunSpec`
-runs across a ``multiprocessing`` worker pool (``spawn`` context — fresh
-interpreters, no inherited state) and memoizes them through an optional
-:class:`~repro.parallel.ResultCache`.
+runs through the sweep supervisor (``spawn`` workers — fresh
+interpreters, no inherited state — or in-process at ``jobs=1``) and
+memoizes them through an optional :class:`~repro.parallel.ResultCache`.
 
 Determinism contract:
 
@@ -18,12 +18,11 @@ Determinism contract:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import RunResult
-from repro.metrics.serialize import run_result_from_dict, run_result_to_dict
+from repro.metrics.serialize import run_result_from_dict
 from repro.parallel.cache import CacheStats, ResultCache
 from repro.parallel.spec import RunSpec
 
@@ -72,15 +71,6 @@ def default_jobs() -> int:
     return clamp_jobs(max(1, int(value)))
 
 
-def _execute_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    """Pool worker: run one spec and return its serialized result.
-
-    Module-level so ``spawn`` can import it; returns plain data so the
-    parent deserializes through the same path the cache uses.
-    """
-    return run_result_to_dict(spec.execute())
-
-
 def serial_map(specs: Sequence[RunSpec]) -> List[RunResult]:
     """Execute specs one after another in this process (no round trip).
 
@@ -93,16 +83,16 @@ def serial_map(specs: Sequence[RunSpec]) -> List[RunResult]:
 class SimPool:
     """Fans independent runs out over processes, through the cache.
 
-    ``jobs=1`` executes in-process (no spawn overhead) but still takes
-    the serialization round trip, keeping all three paths — serial,
-    parallel, cached — structurally identical.
-
-    Passing a :class:`~repro.sweep.SupervisorConfig` as ``supervisor``
-    routes multi-process execution through the fault-tolerant worker
-    supervisor (per-run timeouts, heartbeat liveness, bounded retries)
-    instead of a bare ``multiprocessing.Pool``.  :meth:`map` promises a
-    result for every spec, so a spec the supervisor quarantines raises
-    :class:`RuntimeError` — callers that want partial results should use
+    Every pending batch runs through the fault-tolerant worker
+    supervisor (:func:`repro.sweep.supervisor.run_supervised`: per-run
+    timeouts, heartbeat liveness, bounded retries), tuned by
+    ``supervisor`` (default :class:`~repro.sweep.SupervisorConfig`).
+    ``jobs=1`` takes its in-process serial path (no spawn overhead) but
+    still the serialization round trip, keeping all three paths —
+    serial, parallel, cached — structurally identical.  :meth:`map`
+    promises a result for every spec, so a spec the supervisor
+    quarantines raises :class:`RuntimeError` naming its last failure —
+    callers that want partial results should use
     :func:`repro.sweep.run_sweep` instead.
     """
 
@@ -115,6 +105,12 @@ class SimPool:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
+        if supervisor is None:
+            # Lazy import: repro.sweep imports repro.parallel at module
+            # scope, so the reverse edge must stay function-local.
+            from repro.sweep.config import SupervisorConfig
+
+            supervisor = SupervisorConfig()
         self.jobs = jobs
         self.cache = cache
         self.supervisor = supervisor
@@ -149,19 +145,6 @@ class SimPool:
         return [result for result in results if result is not None]
 
     def _execute(self, todo: List[RunSpec]) -> List[Dict[str, Any]]:
-        if self.supervisor is not None and self.jobs > 1 and len(todo) > 1:
-            return self._execute_supervised(todo)
-        if self.jobs == 1 or len(todo) == 1:
-            return [_execute_to_dict(spec) for spec in todo]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(self.jobs, len(todo))) as pool:
-            # chunksize=1: runs are few and long, so load balance beats
-            # batching; map (not imap_unordered) pins result order.
-            return pool.map(_execute_to_dict, todo, chunksize=1)
-
-    def _execute_supervised(self, todo: List[RunSpec]) -> List[Dict[str, Any]]:
-        # Lazy import: repro.sweep imports repro.parallel at module
-        # scope, so the reverse edge must stay function-local.
         from repro.sweep.supervisor import OUTCOME_OK, run_supervised
 
         outcomes = run_supervised(

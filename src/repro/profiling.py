@@ -84,12 +84,6 @@ class _Section:
         elapsed = perf_counter() - self._t0  # codalint: disable=CL001
         self._profiler.add_time(self._name, elapsed)
 
-    def rename(self, name: str) -> None:
-        """Re-attribute this section before it closes — used by the engine
-        when an action turns out to be a fast-path variant of its tag
-        category (e.g. a skipped scheduling pass)."""
-        self._name = name
-
 
 class Profiler:
     """Accumulates named wall-clock timers and counters.

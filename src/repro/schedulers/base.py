@@ -17,7 +17,17 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import DeadJob, RestartPolicy
@@ -410,6 +420,26 @@ class UsageLedger:
         if total_gpus > 0:
             shares.append(usage.gpus / total_gpus)
         return max(shares) if shares else 0.0
+
+
+def next_tenant(
+    queues: Dict[int, Any],
+    ledger: UsageLedger,
+    total_cpus: int,
+    total_gpus: int,
+    blocked: Set[int],
+) -> Optional[int]:
+    """The nonempty, unblocked tenant with the minimum ``(dominant_share,
+    tenant_id)``: the linear scan :class:`ShareHeap` replaces, kept as the
+    ``REPRO_FULL_RESCAN=1`` parity reference."""
+    best_id, best_share = None, None
+    for tenant_id, queue in queues.items():
+        if not queue or tenant_id in blocked:
+            continue
+        share = ledger.dominant_share(tenant_id, total_cpus, total_gpus)
+        if best_share is None or (share, tenant_id) < (best_share, best_id):
+            best_id, best_share = tenant_id, share
+    return best_id
 
 
 class ShareHeap:

@@ -27,6 +27,7 @@ from repro.schedulers.base import (
     ShareHeap,
     StartDecision,
     UsageLedger,
+    next_tenant,
 )
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
@@ -96,7 +97,9 @@ class DrfScheduler(Scheduler):
         if not self._gate.enabled:
             # Reference implementation: linear min-share scan per pick.
             while True:
-                tenant_id = self._next_tenant(total.cpus, total.gpus, blocked)
+                tenant_id = next_tenant(
+                    self._queues, self._ledger, total.cpus, total.gpus, blocked
+                )
                 if tenant_id is None:
                     break
                 self._fill_one(tenant_id, free, blocked, decisions)
@@ -143,18 +146,6 @@ class DrfScheduler(Scheduler):
         )
         decisions.append(StartDecision(job=head, placements=tuple(placements)))
         return True
-
-    def _next_tenant(
-        self, total_cpus: int, total_gpus: int, blocked: Set[int]
-    ) -> Optional[int]:
-        best_id, best_share = None, None
-        for tenant_id, queue in self._queues.items():
-            if not queue or tenant_id in blocked:
-                continue
-            share = self._ledger.dominant_share(tenant_id, total_cpus, total_gpus)
-            if best_share is None or (share, tenant_id) < (best_share, best_id):
-                best_id, best_share = tenant_id, share
-        return best_id
 
     @staticmethod
     def _try_place(job: Job, free: FreeState):

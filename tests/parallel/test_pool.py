@@ -12,6 +12,7 @@ from repro.experiments.scenarios import (
 from repro.metrics.serialize import run_result_to_dict
 from repro.parallel import ResultCache, RunSpec, SimPool, serial_map
 from repro.schedulers.fifo import FifoScheduler
+from repro.sweep import SupervisorConfig
 
 
 def _dumps(result):
@@ -56,6 +57,19 @@ class TestSimPool:
         assert [r.scheduler_name for r in parallel] == ["fifo", "drf", "coda"]
         for left, right in zip(serial, parallel):
             assert _dumps(left) == _dumps(right)
+
+    def test_failing_spec_raises_quarantine_naming_the_cause(
+        self, monkeypatch, scenario
+    ):
+        def explode(spec):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(RunSpec, "execute", explode)
+        pool = SimPool(jobs=1, supervisor=SupervisorConfig(max_retries=0))
+        with pytest.raises(
+            RuntimeError, match=r"quarantined after 1 attempt\(s\): ValueError: boom"
+        ):
+            pool.map([RunSpec(scenario=scenario, scheduler="fifo")])
 
     def test_mixed_hit_miss_batch_keeps_order(self, tmp_path, scenario):
         cache = ResultCache(tmp_path / "cache")
