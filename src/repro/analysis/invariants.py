@@ -31,7 +31,7 @@ fails fast on a conservation bug.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
@@ -112,6 +112,18 @@ class InvariantAuditor:
         self._last_time = engine.now
         self._next_due = engine.now
         engine.add_observer(self._on_event)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The sweep cadence, so a resumed run sweeps at the same instants."""
+        return {"next_due": self._next_due}
+
+    def restore(self, state: Optional[Dict[str, Any]], stats: AuditStats) -> None:
+        """Carry on auditing a restored run: count into its restored
+        ``stats`` and keep the snapshotted cadence (``None``, from a
+        checkpoint taken without an auditor, sweeps at the next event)."""
+        self.stats = stats
+        if state is not None:
+            self._next_due = float(state["next_due"])
 
     def detach(self) -> None:
         """Stop observing. Idempotent."""
@@ -314,7 +326,15 @@ class InvariantAuditor:
     def _check_drf_shares(self, scheduler: DrfScheduler, cluster: Cluster) -> None:
         total = cluster.total
         ledger = scheduler._ledger
-        tenant_ids = sorted(ledger._usage)
+        # Only tenants holding resources: a zero entry passes both checks
+        # trivially, and the ledger keeps one only until a restore (usage
+        # is rebuilt from live footprints), which would make a resumed
+        # run's assertion count drift from the uninterrupted run's.
+        tenant_ids = sorted(
+            tenant_id
+            for tenant_id, usage in ledger._usage.items()
+            if usage.cpus or usage.gpus
+        )
         for tenant_id in tenant_ids:
             usage = ledger.usage_of(tenant_id)
             self._assert(

@@ -64,6 +64,8 @@ def snapshot_run(
     }
     if runner.fault_injector is not None:
         state["faults"] = runner.fault_injector.snapshot()
+    if runner.auditor is not None:
+        state["auditor"] = runner.auditor.snapshot()
     if spec is not None:
         state["spec"] = spec_digest(spec)
     return state
@@ -120,6 +122,9 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
             )
         runner.restore(state["runner"], jobs_by_id)
         runner.collector = collector_from_dict(state["collector"])
+        if runner.auditor is not None:
+            # The auditor was attached to the construction-time collector.
+            runner.auditor.restore(state.get("auditor"), runner.collector.audit)
         runner.rearm(jobs_by_id)
         runner.scheduler.rearm(engine, jobs_by_id)
         if runner.fault_injector is not None:

@@ -25,13 +25,22 @@ class HistoryEntry:
 
 
 class TenantHistory:
-    """Per-tenant, per-category ring buffers of tuned core counts."""
+    """Per-tenant, per-category ring buffers of tuned core counts.
+
+    The N_start answers are read on every placement attempt but change
+    only when the log is written, so the maxima are maintained by
+    :meth:`record` and :meth:`restore` and the queries are dict reads.
+    """
 
     def __init__(self, window: int = 20) -> None:
         if window < 1:
             raise ValueError(f"history window must be positive: {window}")
         self._window = window
         self._entries: Dict[Tuple[int, str], Deque[HistoryEntry]] = {}
+        #: tenant -> category -> largest tuned cores in that ring buffer.
+        self._best: Dict[int, Dict[str, int]] = {}
+        #: tenant -> largest tuned cores over all its categories.
+        self._best_any: Dict[int, int] = {}
 
     def record(
         self,
@@ -53,26 +62,28 @@ class TenantHistory:
                 tuned_cores=tuned_cores,
             )
         )
+        self._refresh(tenant_id, category)
+
+    def _refresh(self, tenant_id: int, category: str) -> None:
+        """Recompute the maxima one ring buffer feeds (an append may have
+        evicted the old largest entry, so this rescans the bucket)."""
+        bucket = self._entries[(tenant_id, category)]
+        if not bucket:
+            return
+        per_category = self._best.setdefault(tenant_id, {})
+        per_category[category] = max(entry.tuned_cores for entry in bucket)
+        self._best_any[tenant_id] = max(per_category.values())
 
     def best_cores(self, tenant_id: int, category: str) -> Optional[int]:
         """The paper's rule: "we choose the largest core number" among the
         owner's recent same-category jobs.  None with no history."""
-        bucket = self._entries.get((tenant_id, category))
-        if not bucket:
-            return None
-        return max(entry.tuned_cores for entry in bucket)
+        per_category = self._best.get(tenant_id)
+        return None if per_category is None else per_category.get(category)
 
     def best_cores_any_category(self, tenant_id: int) -> Optional[int]:
         """Worst-case fallback (Sec. V-B1): the owner gave no category, so
         use their history across all categories."""
-        candidates = [
-            max(entry.tuned_cores for entry in bucket)
-            for (owner, _), bucket in self._entries.items()
-            if owner == tenant_id and bucket
-        ]
-        if not candidates:
-            return None
-        return max(candidates)
+        return self._best_any.get(tenant_id)
 
     def entries_for(self, tenant_id: int, category: str) -> Tuple[HistoryEntry, ...]:
         return tuple(self._entries.get((tenant_id, category), ()))
@@ -95,6 +106,8 @@ class TenantHistory:
 
     def restore(self, state: List[Any]) -> None:
         self._entries = {}
+        self._best = {}
+        self._best_any = {}
         for tenant_id, category, entries in state:
             bucket: Deque[HistoryEntry] = deque(maxlen=self._window)
             for job_id, model_name, entry_category, tuned_cores in entries:
@@ -107,3 +120,5 @@ class TenantHistory:
                     )
                 )
             self._entries[(int(tenant_id), str(category))] = bucket
+        for tenant_id, category in sorted(self._entries):
+            self._refresh(tenant_id, category)

@@ -149,15 +149,13 @@ class MultiArrayScheduler(Scheduler):
         #: idle gives blocked CPU jobs new borrow options without any
         #: capacity being freed, so it must dirty the "cpu" group.
         self._gpu_idle_prev = True
-        #: Per-pass memo of placement *shapes* that failed the full
-        #: cascade, keyed by (num_nodes, gpus_per_node, total_gpus,
-        #: cores, model) and stamped with the free-state mutation count:
-        #: an identical request at an identical snapshot must fail again,
-        #: so the whole cascade is skipped.  Reset at the top of every
-        #: pass.
-        self._place_memo: Dict[
-            Tuple[int, int, int, int, Optional[str]], int
-        ] = {}
+        #: Per-pass memo of requests that failed the full cascade, keyed
+        #: by (num_nodes, gpus_per_node, last ladder rung) and stamped
+        #: with the free-state mutation count: a request with the same
+        #: key at an identical snapshot must fail again (see
+        #: ``_try_place_gpu``), so the whole cascade is skipped.  Reset
+        #: at the top of every pass.
+        self._place_memo: Dict[Tuple[int, int, int], int] = {}
 
     # ------------------------------------------------------------------ #
     # Scheduler interface
@@ -339,6 +337,15 @@ class MultiArrayScheduler(Scheduler):
         pending.sort(key=lambda job: (job.submit_time, job.job_id))
         return pending
 
+    def queue_depths(self) -> Tuple[int, int]:
+        gpu = sum(map(len, self._gpu_queues_big.values())) + sum(
+            map(len, self._gpu_queues_small.values())
+        )
+        cpu = sum(map(len, self._inference_queues.values())) + sum(
+            map(len, self._cpu_queues.values())
+        )
+        return gpu, cpu
+
     def gpu_queue_empty(self) -> bool:
         return all(
             not queue for queue in self._gpu_queues_big.values()
@@ -503,21 +510,33 @@ class MultiArrayScheduler(Scheduler):
     ) -> Optional[List[Placement]]:
         """Memoized front door for the placement cascade.
 
-        The cascade's outcome for a *failing* job depends only on the
-        placement shape (node/GPU geometry, core request, and — under the
-        contention extension — the model) plus the free snapshot, and a
-        failed cascade has no side effects.  So within one pass, a shape
-        that failed at the current free-state mutation stamp is
-        guaranteed to fail again and the whole cascade is skipped.
-        (``preempted`` only ever grows alongside a *successful* reclaim,
-        which also mutates ``free``, so the stamp covers it too.)
+        A failed cascade has no side effects, and whether a cascade
+        fails depends only on the gang shape (``num_nodes``,
+        ``gpus_per_node``), the ladder's last rung and the free snapshot.
+        So within one pass, a key that failed at the current free-state
+        mutation stamp is guaranteed to fail again and the whole cascade
+        is skipped.  (``preempted`` only ever grows alongside a
+        *successful* reclaim, which also mutates ``free``, so the stamp
+        covers it too.)
+
+        Why the last rung ``min(cores, max(1, gpus_per_node))`` stands
+        in for the starting ``cores``: admission is monotone in the core
+        count.  ``place_gpu_job`` admits a node by ``free_cpus >= cores``
+        and ``_place_with_reclaim`` by ``free_cpus + reclaim >= cores``,
+        so a node set that fails at the last rung fails at every higher
+        rung.  Every rung searches the same node sets, all fixed by the
+        shape, and the last rung is the lowest.  The rack-aware and
+        contention-aware attempts search subsets of those sets at the
+        first rung, and a subset fails wherever its superset does.  So
+        if one ladder fails, every ladder of the same shape that ends on
+        the same rung fails too, whatever its starting core count (and,
+        under the contention extension, whatever its model).
         """
+        gpus_per_node = job.setup.gpus_per_node
         key = (
             job.setup.num_nodes,
-            job.setup.gpus_per_node,
-            job.setup.total_gpus,
-            cores,
-            job.model_name if self.contention_aware else None,
+            gpus_per_node,
+            min(cores, max(1, gpus_per_node)),
         )
         if self._place_memo.get(key) == free.mutations:
             return None

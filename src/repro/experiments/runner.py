@@ -1070,9 +1070,7 @@ class SimulationRunner(SchedulerContext):
     # Sampling
 
     def _on_sample(self) -> None:
-        pending = self.scheduler.pending_jobs()
-        gpu_depth = sum(1 for job in pending if job.kind is JobKind.GPU)
-        cpu_depth = len(pending) - gpu_depth
+        gpu_depth, cpu_depth = self.scheduler.queue_depths()
         total_gpus = self.cluster.total.gpus
         free_fraction = (
             (total_gpus - self.cluster.gpu_active_count()) / total_gpus

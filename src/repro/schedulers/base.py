@@ -32,7 +32,7 @@ from typing import (
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import DeadJob, RestartPolicy
 from repro.sim.events import EventHandle
-from repro.workload.job import Job
+from repro.workload.job import Job, JobKind
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,13 @@ class Scheduler(abc.ABC):
     def pending_jobs(self) -> List[Job]:
         """Jobs currently queued (for metrics and debugging)."""
 
-    def queue_depth(self) -> int:
-        return len(self.pending_jobs())
+    def queue_depths(self) -> Tuple[int, int]:
+        """(GPU, CPU) queued job counts, read by the metrics sampler.
+        Policies whose queues are already split by kind override this
+        with plain length sums."""
+        pending = self.pending_jobs()
+        gpu = sum(1 for job in pending if job.kind is JobKind.GPU)
+        return gpu, len(pending) - gpu
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

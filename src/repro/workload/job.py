@@ -132,7 +132,14 @@ class GpuJob(Job):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        get_model(self.model_name)  # validates the name
+        # Validates the name and resolves the category once: it is read
+        # on every placement attempt.  A plain attribute, not a field, so
+        # equality, repr and serialization are unchanged.  Set the way the
+        # frozen dataclass sets its fields: touching ``self.__dict__``
+        # would turn every job's inline attribute storage into a dict.
+        object.__setattr__(
+            self, "_category", get_model(self.model_name).domain.value
+        )
         if self.requested_cpus < 1:
             raise ValueError(f"{self.job_id}: need at least one core per node")
         if self.total_iterations < 1:
@@ -164,4 +171,5 @@ class GpuJob(Job):
     @property
     def category(self) -> str:
         """The model category string the tenant reports (Speech/CV/NLP)."""
-        return get_model(self.model_name).domain.value
+        category: str = self._category  # type: ignore[attr-defined]
+        return category

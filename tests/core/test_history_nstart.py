@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.historylog import TenantHistory
 from repro.core.nstart import CATEGORY_DEFAULTS, GLOBAL_DEFAULT, determine_n_start
+from repro.perfmodel.catalog import ALL_MODEL_NAMES, get_model
 from repro.perfmodel.stages import TrainSetup
 from repro.workload.job import GpuJob, JobHints
 
@@ -76,6 +77,56 @@ class TestTenantHistory:
         entries = history.entries_for(1, "NLP")
         assert len(entries) == 1
         assert entries[0].job_id == "a"
+
+    def test_max_drops_when_largest_entry_is_evicted(self):
+        history = TenantHistory(window=2)
+        history.record(1, "a", "alexnet", "CV", 9)
+        history.record(1, "b", "resnet50", "CV", 3)
+        assert history.best_cores(1, "CV") == 9
+        assert history.best_cores_any_category(1) == 9
+        history.record(1, "c", "resnet50", "CV", 4)
+        assert history.best_cores(1, "CV") == 4
+        assert history.best_cores_any_category(1) == 4
+
+    def test_any_category_takes_largest_across_categories(self):
+        history = TenantHistory()
+        history.record(1, "a", "bat", "NLP", 5)
+        history.record(1, "b", "resnet50", "CV", 3)
+        history.record(1, "c", "wavenet", "SPEECH", 7)
+        history.record(2, "d", "alexnet", "CV", 12)
+        assert history.best_cores_any_category(1) == 7
+        history.record(1, "e", "alexnet", "CV", 8)
+        assert history.best_cores_any_category(1) == 8
+        assert history.best_cores_any_category(2) == 12
+
+    def test_answers_survive_snapshot_and_restore(self):
+        history = TenantHistory(window=2)
+        for job_id, tenant, model, category, cores in [
+            ("a", 1, "alexnet", "CV", 9),
+            ("b", 1, "resnet50", "CV", 3),
+            ("c", 1, "resnet50", "CV", 4),
+            ("d", 1, "bat", "NLP", 6),
+            ("e", 2, "wavenet", "SPEECH", 2),
+        ]:
+            history.record(tenant, job_id, model, category, cores)
+        restored = TenantHistory(window=2)
+        restored.record(3, "stale", "bat", "NLP", 20)  # replaced by restore
+        restored.restore(history.snapshot())
+        for tenant in (1, 2, 3):
+            assert restored.best_cores_any_category(
+                tenant
+            ) == history.best_cores_any_category(tenant)
+            for category in ("CV", "NLP", "SPEECH"):
+                assert restored.best_cores(tenant, category) == history.best_cores(
+                    tenant, category
+                )
+        assert restored.snapshot() == history.snapshot()
+
+
+class TestGpuJobCategory:
+    @pytest.mark.parametrize("model", ALL_MODEL_NAMES)
+    def test_matches_catalog(self, model):
+        assert _job(model=model).category == get_model(model).domain.value
 
 
 class TestCategoryDefaults:
