@@ -56,6 +56,11 @@ class Cluster:
         #: :mod:`repro.schedulers.placement` and invalidated through
         #: :attr:`version` (plus the health tracker's own version).
         self.free_snapshot_cache: Any = None
+        #: Snapshots ``FreeState.of`` built by a full scan of this
+        #: cluster, and cache hits it refreshed by re-reading only the
+        #: dirtied nodes (regression counters for the memo's tests).
+        self.free_snapshot_rebuilds = 0
+        self.free_snapshot_refreshes = 0
         # Total capacity never changes after construction (a failed GPU
         # still counts toward the total), so compute it once.
         self._total = ResourceVector(

@@ -31,7 +31,8 @@ the queues.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.allocator import AdaptiveCpuAllocator
@@ -45,15 +46,17 @@ from repro.core.arrays import (
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import (
     Decision,
+    LinearSelector,
     PreemptDecision,
     Scheduler,
     SchedulerContext,
     ShareHeap,
     StartDecision,
+    TenantSelector,
     UsageLedger,
-    next_tenant,
+    fill_tenants,
 )
-from repro.schedulers.dirty import PassGate
+from repro.schedulers.dirty import PassGate, ReferenceGate
 from repro.schedulers.placement import (
     FreeState,
     Placement,
@@ -121,6 +124,8 @@ class MultiArrayScheduler(Scheduler):
         self._cpu_used: Dict[int, int] = {}
         self._cpu_cores: Dict[str, int] = {}
         self._census_dirty = False
+        #: False in a reference run: every census is a fresh cluster walk.
+        self._census_incremental = True
         #: Static per-cluster placement inputs, filled when the layout is
         #: first built (node totals never change after construction).
         self._biggest_node_cores: int = 0
@@ -137,14 +142,12 @@ class MultiArrayScheduler(Scheduler):
         self._gpu_borrow_index: Dict[int, Set[str]] = {}
 
         #: Incremental-pass state (see docs/scheduler-internals.md): one
-        #: gate group per queue family, one share heap per family (the
-        #: two GPU heaps share the GPU ledger, the two CPU heaps the CPU
-        #: ledger, so a share change re-keys the tenant in both).
-        self._gate = PassGate(("gpu_big", "gpu_small", "inference", "cpu"))
-        self._heap_gpu_big = ShareHeap(self._gpu_ledger)
-        self._heap_gpu_small = ShareHeap(self._gpu_ledger)
-        self._heap_inference = ShareHeap(self._cpu_ledger)
-        self._heap_cpu = ShareHeap(self._cpu_ledger)
+        #: gate group per queue family, one tenant selector per family
+        #: (the two GPU selectors share the GPU ledger, the two CPU
+        #: selectors the CPU ledger, so a share change re-keys the tenant
+        #: in both).
+        self._selectors = self._make_selectors(ShareHeap)
+        self._gate = PassGate(self._selectors)
         #: ``gpu_queue_empty()`` at the end of the last pass; a flip to
         #: idle gives blocked CPU jobs new borrow options without any
         #: capacity being freed, so it must dirty the "cpu" group.
@@ -164,6 +167,21 @@ class MultiArrayScheduler(Scheduler):
         super().attach(context)
         self._context = context
 
+    def _use_reference(self) -> None:
+        self._gate = ReferenceGate()
+        self._selectors = self._make_selectors(LinearSelector)
+        self._census_incremental = False
+
+    def _make_selectors(
+        self, kind: Callable[[UsageLedger], TenantSelector]
+    ) -> Dict[str, TenantSelector]:
+        return {
+            "gpu_big": kind(self._gpu_ledger),
+            "gpu_small": kind(self._gpu_ledger),
+            "inference": kind(self._cpu_ledger),
+            "cpu": kind(self._cpu_ledger),
+        }
+
     @property
     def layout(self) -> Optional[ArrayLayout]:
         return self._layout
@@ -176,23 +194,19 @@ class MultiArrayScheduler(Scheduler):
             if len(queue) < self.BACKFILL_DEPTH:
                 self._gate.mark(group)
             if not queue:
-                self._gpu_heap(group).push(job.tenant_id)
+                self._selectors[group].push(job.tenant_id)
             queue.append(job)
         elif isinstance(job, CpuJob):
             if job.is_inference:
-                queues, group, heap = (
-                    self._inference_queues, "inference", self._heap_inference
-                )
+                queues, group = self._inference_queues, "inference"
             else:
-                queues, group, heap = (
-                    self._cpu_queues, "cpu", self._heap_cpu
-                )
+                queues, group = self._cpu_queues, "cpu"
             queue = queues.setdefault(job.tenant_id, deque())
             # CPU classes are head-only: a submit behind a blocked head
             # cannot be examined until the head moves.
             if not queue:
                 self._gate.mark(group)
-                heap.push(job.tenant_id)
+                self._selectors[group].push(job.tenant_id)
             queue.append(job)
         else:
             raise TypeError(f"unknown job type: {type(job).__name__}")
@@ -203,9 +217,6 @@ class MultiArrayScheduler(Scheduler):
         else:
             group, queues = "gpu_small", self._gpu_queues_small
         return group, queues.setdefault(job.tenant_id, deque())
-
-    def _gpu_heap(self, group: str) -> ShareHeap:
-        return self._heap_gpu_big if group == "gpu_big" else self._heap_gpu_small
 
     def job_started(
         self, job: Job, placements: Sequence[Tuple[int, int, int]], now: float
@@ -280,15 +291,15 @@ class MultiArrayScheduler(Scheduler):
         if isinstance(job, GpuJob):
             group, queue = self._gpu_group_queue(job)
             self._gate.mark(group)
-            self._gpu_heap(group).push(job.tenant_id)
+            self._selectors[group].push(job.tenant_id)
             queue.appendleft(job)
         elif job.is_inference:
             self._gate.mark("inference")
-            self._heap_inference.push(job.tenant_id)
+            self._selectors["inference"].push(job.tenant_id)
             self._inference_queues.setdefault(job.tenant_id, deque()).appendleft(job)
         else:
             self._gate.mark("cpu")
-            self._heap_cpu.push(job.tenant_id)
+            self._selectors["cpu"].push(job.tenant_id)
             self._cpu_queues.setdefault(job.tenant_id, deque()).appendleft(job)
 
     def _forget(self, job_id: str) -> None:
@@ -311,18 +322,18 @@ class MultiArrayScheduler(Scheduler):
 
     def _push_gpu_tenant(self, tenant_id: int) -> None:
         """The tenant's GPU-ledger share changed: re-key it in both
-        sub-array heaps (the ledger is shared across them)."""
+        sub-array selectors (the ledger is shared across them)."""
         if self._gpu_queues_big.get(tenant_id):
-            self._heap_gpu_big.push(tenant_id)
+            self._selectors["gpu_big"].push(tenant_id)
         if self._gpu_queues_small.get(tenant_id):
-            self._heap_gpu_small.push(tenant_id)
+            self._selectors["gpu_small"].push(tenant_id)
 
     def _push_cpu_tenant(self, tenant_id: int) -> None:
-        """Same as :meth:`_push_gpu_tenant` for the CPU-side heaps."""
+        """Same as :meth:`_push_gpu_tenant` for the CPU-side selectors."""
         if self._inference_queues.get(tenant_id):
-            self._heap_inference.push(tenant_id)
+            self._selectors["inference"].push(tenant_id)
         if self._cpu_queues.get(tenant_id):
-            self._heap_cpu.push(tenant_id)
+            self._selectors["cpu"].push(tenant_id)
 
     def pending_jobs(self) -> List[Job]:
         pending: List[Job] = []
@@ -372,42 +383,23 @@ class MultiArrayScheduler(Scheduler):
                 for node in cluster.nodes
             }
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
+        free = self._gate.snapshot(cluster, now)
         preempted: Set[str] = set()
         self._place_memo = {}
-        if self._gate.enabled:
-            total = cluster.total
-            for heap, queues in (
-                (self._heap_gpu_big, self._gpu_queues_big),
-                (self._heap_gpu_small, self._gpu_queues_small),
-                (self._heap_inference, self._inference_queues),
-                (self._heap_cpu, self._cpu_queues),
-            ):
-                heap.configure(total.cpus, total.gpus)
-                if heap.needs_rebuild:
-                    heap.rebuild(queues)
         self._schedule_gpu_array(cluster, free, decisions, preempted)
         self._schedule_cpu_array(cluster, free, decisions, preempted)
         self._gate.pass_done(cluster)
-        if self._gate.enabled:
-            for heap in (
-                self._heap_gpu_big,
-                self._heap_gpu_small,
-                self._heap_inference,
-                self._heap_cpu,
-            ):
-                heap.flush_stash()
-            # Cross-group coupling that no capacity-freed bump covers:
-            # the GPU queues draining gives blocked CPU jobs new borrow
-            # options, and freshly-planned borrowers give blocked GPU
-            # jobs new *reclaim* options.
-            gpu_idle = self.gpu_queue_empty()
-            if gpu_idle and not self._gpu_idle_prev:
-                self._gate.mark("cpu")
-            self._gpu_idle_prev = gpu_idle
-            if self._pending_borrow_cpu or self._pending_borrow_gpu:
-                self._gate.mark("gpu_big")
-                self._gate.mark("gpu_small")
+        # Cross-group coupling that no capacity-freed bump covers: the
+        # GPU queues draining gives blocked CPU jobs new borrow options,
+        # and freshly-planned borrowers give blocked GPU jobs new
+        # *reclaim* options.
+        gpu_idle = self.gpu_queue_empty()
+        if gpu_idle and not self._gpu_idle_prev:
+            self._gate.mark("cpu")
+        self._gpu_idle_prev = gpu_idle
+        if self._pending_borrow_cpu or self._pending_borrow_gpu:
+            self._gate.mark("gpu_big")
+            self._gate.mark("gpu_small")
         return decisions
 
     def can_skip_pass(self, cluster: Cluster) -> bool:
@@ -427,16 +419,14 @@ class MultiArrayScheduler(Scheduler):
         # Big jobs first: they are the hardest to place and small jobs
         # backfill around them.  The DRF ledger is shared, so fairness is
         # still judged on each tenant's total GPU usage.
-        if self._gate.should_scan("gpu_big", cluster):
-            self._schedule_gpu_subarray(
-                self._gpu_queues_big, cluster, free, decisions, preempted,
-                heap=self._heap_gpu_big if self._gate.enabled else None,
-            )
-        if self._gate.should_scan("gpu_small", cluster):
-            self._schedule_gpu_subarray(
-                self._gpu_queues_small, cluster, free, decisions, preempted,
-                heap=self._heap_gpu_small if self._gate.enabled else None,
-            )
+        for group, queues in (
+            ("gpu_big", self._gpu_queues_big),
+            ("gpu_small", self._gpu_queues_small),
+        ):
+            if self._gate.should_scan(group, cluster):
+                self._schedule_gpu_subarray(
+                    group, queues, cluster, free, decisions, preempted
+                )
 
     #: How far past a tenant's blocked queue head the scheduler may look
     #: for a placeable job (bounded backfill; skipped jobs keep their
@@ -445,59 +435,41 @@ class MultiArrayScheduler(Scheduler):
 
     def _schedule_gpu_subarray(
         self,
+        group: str,
         queues: Dict[int, Deque[GpuJob]],
         cluster: Cluster,
         free: FreeState,
         decisions: List[Decision],
         preempted: Set[str],
-        *,
-        heap: Optional[ShareHeap] = None,
     ) -> None:
-        total = cluster.total
         biggest_node = self._biggest_node_cores
-        blocked: Set[int] = set()
-        while True:
-            if heap is None:
-                entry = None
-                tenant_id = next_tenant(
-                    queues, self._gpu_ledger, total.cpus, total.gpus, blocked
-                )
-            else:
-                entry = heap.pop_min(queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                return
+
+        def start_in_window(tenant_id: int) -> bool:
             queue = queues[tenant_id]
-            placed_index = None
-            placements = None
-            for index, job in enumerate(queue):
-                if index >= self.BACKFILL_DEPTH:
-                    break
+            for index, job in enumerate(islice(queue, self.BACKFILL_DEPTH)):
                 cores = self.allocator.initial_cores(
                     job, node_cores=biggest_node
                 )
                 placements = self._try_place_gpu(
                     job, cores, cluster, free, decisions, preempted
                 )
-                if placements is not None:
-                    placed_index = index
-                    break
-            if placed_index is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
-                continue
-            job = queue[placed_index]
-            free.commit(placements)
-            del queue[placed_index]
-            # DRF inside the GPU array goes "according to the usage of GPU"
-            # (Sec. V-C), so cores are not counted against the share.
-            self._gpu_ledger.start(
-                job.job_id, job.tenant_id, 0, job.setup.total_gpus
-            )
-            if heap is not None:
+                if placements is None:
+                    continue
+                free.commit(placements)
+                # Safe mid-iteration: the islice is never advanced again.
+                del queue[index]
+                # DRF inside the GPU array goes "according to the usage of
+                # GPU" (Sec. V-C), so cores are not counted against the
+                # share.
+                self._gpu_ledger.start(
+                    job.job_id, job.tenant_id, 0, job.setup.total_gpus
+                )
                 self._push_gpu_tenant(job.tenant_id)
-            decisions.append(StartDecision(job=job, placements=tuple(placements)))
+                decisions.append(StartDecision(job=job, placements=tuple(placements)))
+                return True
+            return False
+
+        fill_tenants(self._selectors[group], queues, cluster, start_in_window)
 
     def _try_place_gpu(
         self,
@@ -865,9 +837,6 @@ class MultiArrayScheduler(Scheduler):
         decisions: List[Decision],
         preempted: Set[str],
     ) -> None:
-        layout = self._layout
-        assert layout is not None
-        incremental = self._gate.enabled
         scan_inference = self._gate.should_scan("inference", cluster)
         scan_cpu = self._gate.should_scan("cpu", cluster)
         if not scan_inference and not scan_cpu:
@@ -878,39 +847,27 @@ class MultiArrayScheduler(Scheduler):
             # Nothing queued in either CPU class: both tenant loops below
             # would spin zero iterations, so skip the headroom census too.
             return
-        total = cluster.total
 
         # User-facing inference first: it outranks training, so it may use
         # any free cores (reserved or not) and is never a borrower.
-        heap = self._heap_inference if incremental else None
-        blocked: Set[int] = set()
-        while scan_inference:
-            if heap is None:
-                entry = None
-                tenant_id = next_tenant(
-                    self._inference_queues, self._cpu_ledger, total.cpus,
-                    total.gpus, blocked,
-                )
-            else:
-                entry = heap.pop_min(self._inference_queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                break
+        def start_inference(tenant_id: int) -> bool:
             queue = self._inference_queues[tenant_id]
             job = queue[0]
             placement = place_cpu_job(job, free)
             if placement is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
-                continue
+                return False
             free.commit(placement)
             queue.popleft()
             self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
-            if heap is not None:
-                self._push_cpu_tenant(job.tenant_id)
+            self._push_cpu_tenant(job.tenant_id)
             decisions.append(StartDecision(job=job, placements=tuple(placement)))
+            return True
 
+        if scan_inference:
+            fill_tenants(
+                self._selectors["inference"], self._inference_queues, cluster,
+                start_inference,
+            )
         if not scan_cpu:
             return
         # Normal CPU-array headroom per node: unreserved cores minus what
@@ -921,20 +878,8 @@ class MultiArrayScheduler(Scheduler):
         normal_used = self._cpu_census(cluster, preempted)
 
         gpu_idle = self.gpu_queue_empty()
-        heap = self._heap_cpu if incremental else None
-        blocked = set()
-        while True:
-            if heap is None:
-                entry = None
-                tenant_id = next_tenant(
-                    self._cpu_queues, self._cpu_ledger, total.cpus,
-                    total.gpus, blocked,
-                )
-            else:
-                entry = heap.pop_min(self._cpu_queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                return
+
+        def start_training(tenant_id: int) -> bool:
             queue = self._cpu_queues[tenant_id]
             job = queue[0]
             placement = self._place_cpu_normal(job, cluster, free, normal_used)
@@ -943,10 +888,7 @@ class MultiArrayScheduler(Scheduler):
                 placement = place_cpu_job(job, free)
                 borrowed = placement is not None
             if placement is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
-                continue
+                return False
             free.commit(placement)
             node_id = placement[0][0]
             if borrowed:
@@ -955,9 +897,13 @@ class MultiArrayScheduler(Scheduler):
                 normal_used[node_id] = normal_used.get(node_id, 0) + job.cores
             queue.popleft()
             self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
-            if heap is not None:
-                self._push_cpu_tenant(job.tenant_id)
+            self._push_cpu_tenant(job.tenant_id)
             decisions.append(StartDecision(job=job, placements=tuple(placement)))
+            return True
+
+        fill_tenants(
+            self._selectors["cpu"], self._cpu_queues, cluster, start_training
+        )
 
     def _cpu_census_build(
         self, cluster: Cluster, preempted: Set[str]
@@ -986,11 +932,12 @@ class MultiArrayScheduler(Scheduler):
         jobs are borrowers and borrowers are never tracked in
         ``_cpu_node``; should that invariant ever break, the overlap
         check below drops to an uncached walk rather than serving a
-        census the incremental path cannot see.
+        census the incremental path cannot see.  A reference run always
+        walks.
         """
-        if not self._gate.enabled:
-            return self._cpu_census_build(cluster, preempted)
-        if preempted and not preempted.isdisjoint(self._cpu_node):
+        if not self._census_incremental or (
+            preempted and not preempted.isdisjoint(self._cpu_node)
+        ):
             return self._cpu_census_build(cluster, preempted)
         if self._census_dirty:
             # Post-restore: reconstruct both maps from the live cluster
@@ -1014,8 +961,6 @@ class MultiArrayScheduler(Scheduler):
         normal_used: Dict[int, int],
     ) -> Optional[List[Placement]]:
         """Best-fit within the CPU array's unreserved per-node capacity."""
-        layout = self._layout
-        assert layout is not None
         best: Optional[Tuple[int, int, int]] = None  # (penalty, headroom, node_id)
         capacities = self._cpu_capacity
         for node in cluster.nodes:
@@ -1109,14 +1054,9 @@ class MultiArrayScheduler(Scheduler):
         for job_id, node_id in self._borrowed_gpu.items():
             self._gpu_borrow_index.setdefault(node_id, set()).add(job_id)
         # Restored state may differ arbitrarily from the last pass this
-        # process saw: re-arm every gate group and rebuild the heaps.
+        # process saw: re-arm every gate group and rebuild the selectors.
         self._gate.mark_all()
-        for heap in (
-            self._heap_gpu_big,
-            self._heap_gpu_small,
-            self._heap_inference,
-            self._heap_cpu,
-        ):
-            heap.invalidate()
+        for selector in self._selectors.values():
+            selector.invalidate()
         self._gpu_idle_prev = self.gpu_queue_empty()
         self._place_memo = {}

@@ -175,9 +175,9 @@ class RunResult:
     #: zero for schedulers without an eliminator).
     flap_suppressions: int = 0
     #: Lazy completion timers that fired before their job's authoritative
-    #: completion time and were re-armed (zero under
-    #: ``REPRO_EAGER_RESCHEDULE=1``).  ``events_fired`` minus this count
-    #: is comparable across the lazy and eager timer engines.
+    #: completion time and were re-armed (zero in a
+    #: ``SimulationRunner(reference=True)`` run, whose timers are eager).
+    #: ``events_fired`` minus this count is comparable across the two.
     stale_timer_fires: int = 0
 
 
@@ -196,7 +196,13 @@ def _env_auditor() -> Optional["InvariantAuditor"]:
 
 
 class SimulationRunner(SchedulerContext):
-    """Drives one (trace, scheduler, cluster) simulation."""
+    """Drives one (trace, scheduler, cluster) simulation.
+
+    ``reference=True`` runs the plain algorithms every speed layer must
+    reproduce decision for decision (the parity suite's oracle): eager
+    re-pricing and completion timers, every node on every monitor tick,
+    and (told at attach) full-rescan scheduling with linear tenant picks.
+    """
 
     def __init__(
         self,
@@ -211,6 +217,7 @@ class SimulationRunner(SchedulerContext):
         fault_injector: Optional["FaultInjector"] = None,
         auditor: Optional["InvariantAuditor"] = None,
         health_config: Optional[HealthConfig] = None,
+        reference: bool = False,
     ) -> None:
         if sample_interval_s <= 0:
             raise ValueError(f"non-positive sample interval: {sample_interval_s}")
@@ -236,17 +243,16 @@ class SimulationRunner(SchedulerContext):
         #: incarnation) never touch a successor of the record they slowed.
         self._cpu_incarnation: Dict[str, int] = {}
         self._straggle_count = 0
-        #: Escape hatch: re-price and cancel+reschedule completions on
-        #: every node touch and tick every node, the pre-lazy reference
-        #: behaviour.  Read once at construction (parity tests flip the
-        #: env var per runner, never mid-run).
-        self._eager_resched = bool(os.environ.get("REPRO_EAGER_RESCHEDULE"))
+        self.reference = reference
         self._stale_timer_fires = 0
         #: Nodes the eliminator must tick: hosts of CPU jobs or live
         #: throttles, plus telemetry-outage nodes until a successful
         #: observe clears them.  See the "Activity-indexed monitoring"
-        #: section for the skip-soundness invariant.
-        self._monitor_active: Set[int] = set()
+        #: section for the skip-soundness invariant.  A reference run
+        #: holds every node, always.
+        self._monitor_active: Set[int] = (
+            set(range(len(cluster.nodes))) if reference else set()
+        )
         self._monitor_last_tick: Optional[float] = None
         #: When each node last became observable (up, unquarantined);
         #: +inf while it is not.  Missing means observable since t=0.
@@ -460,12 +466,10 @@ class SimulationRunner(SchedulerContext):
     # reconstructs whenever the invariant is about to stop holding.
 
     def monitor_active_node_ids(self) -> Sequence[int]:
-        if self._eager_resched:
-            return range(len(self.cluster.nodes))
         return sorted(self._monitor_active)
 
     def monitor_deactivate_node(self, node_id: int) -> None:
-        if not self._eager_resched:
+        if not self.reference:
             self._monitor_active.discard(node_id)
 
     def monitor_note_tick(self, now: float) -> None:
@@ -482,7 +486,7 @@ class SimulationRunner(SchedulerContext):
         back-fill — eager ticks skip unobservable nodes too, leaving
         their stamp frozen.
         """
-        if self._eager_resched or node_id in self._monitor_active:
+        if node_id in self._monitor_active:
             return
         last_tick = self._monitor_last_tick
         if last_tick is not None and last_tick >= self._observable_since.get(
@@ -492,8 +496,6 @@ class SimulationRunner(SchedulerContext):
 
     def _monitor_activate(self, node_id: int) -> None:
         """Add a node to the active set (back-filling its sample stamp)."""
-        if self._eager_resched or node_id in self._monitor_active:
-            return
         self._monitor_backfill(node_id)
         self._monitor_active.add(node_id)
 
@@ -680,7 +682,7 @@ class SimulationRunner(SchedulerContext):
                 for share in allocation.shares
             ]
         nodes = record.nodes
-        eager = self._eager_resched
+        eager = self.reference
         fingerprint: Optional[Tuple[Any, ...]] = None
         if not eager:
             parts: List[Any] = [record.cores_per_node]
@@ -735,9 +737,8 @@ class SimulationRunner(SchedulerContext):
             # First reprice of this record (fresh start or checkpoint
             # restore): pin the home node, fixed for its lifetime.
             node = record.node = self.cluster.node(record.node_id)
-        eager = self._eager_resched
         fingerprint: Optional[Tuple[Any, ...]] = None
-        if not eager:
+        if not self.reference:
             # Everything the speed model reads: core count, fault factor,
             # and the bandwidth grant (covered by the monitor epoch).
             fingerprint = (
@@ -773,7 +774,7 @@ class SimulationRunner(SchedulerContext):
         record.completion_time = target
         completion = record.completion
         if completion is not None:
-            if not self._eager_resched and target >= completion.time:
+            if not self.reference and target >= completion.time:
                 # Completion moved later (or held): leave the armed timer
                 # alone.  It fires stale, detects that completion_time is
                 # still ahead, and re-arms itself (validate-on-pop) —
@@ -832,9 +833,9 @@ class SimulationRunner(SchedulerContext):
             # left this timer armed early (see ``_aim_completion``), so
             # the fire is stale.  Re-arm at the authoritative time, count
             # it, and book its (tiny) cost under ``completion-stale`` so
-            # completion accounting stays honest.  Under the eager hatch
-            # the armed time always equals ``completion_time`` and this
-            # never triggers.
+            # completion accounting stays honest.  In a reference run the
+            # armed time always equals ``completion_time`` and this never
+            # triggers.
             self._arm_completion(record, record.completion_time)
             self._stale_timer_fires += 1
             self.engine.recategorize_current_event("completion-stale")

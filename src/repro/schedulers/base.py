@@ -86,6 +86,10 @@ class SchedulerContext(abc.ABC):
     #: attribute (the eliminator reads node monitors through it).
     cluster: Cluster
 
+    #: True for a run that asks every policy for its reference behaviour
+    #: (see :meth:`Scheduler.attach`).
+    reference: bool = False
+
     @abc.abstractmethod
     def schedule_event(
         self, delay_s: float, action: Callable[[], None], tag: str = ""
@@ -174,8 +178,16 @@ class Scheduler(abc.ABC):
 
     def attach(self, context: SchedulerContext) -> None:
         """Receive the runtime-control surface.  Baselines only use it for
-        deferred (backed-off) failure re-queues."""
+        deferred (backed-off) failure re-queues.  A ``reference`` context
+        is honoured here, once per run (:meth:`_use_reference`)."""
         self._base_context = context
+        if context.reference:
+            self._use_reference()
+
+    def _use_reference(self) -> None:
+        """Swap the incremental machinery for its reference counterparts
+        (:class:`repro.schedulers.dirty.ReferenceGate`,
+        :class:`LinearSelector`); the default has none to swap."""
 
     def restart_count(self, job_id: str) -> int:
         """How many infrastructure failures ``job_id`` has taken so far."""
@@ -273,8 +285,7 @@ class Scheduler(abc.ABC):
 
         The default is the always-safe False; incremental policies
         override this with their :class:`repro.schedulers.dirty.PassGate`
-        verdict.  Must stay False under ``REPRO_FULL_RESCAN=1`` (the
-        gates handle that themselves)."""
+        verdict, which a reference run's gate answers with False."""
         return False
 
     @abc.abstractmethod
@@ -433,18 +444,18 @@ def next_tenant(
     total_cpus: int,
     total_gpus: int,
     blocked: Set[int],
-) -> Optional[int]:
-    """The nonempty, unblocked tenant with the minimum ``(dominant_share,
-    tenant_id)``: the linear scan :class:`ShareHeap` replaces, kept as the
-    ``REPRO_FULL_RESCAN=1`` parity reference."""
-    best_id, best_share = None, None
+) -> Optional[Tuple[float, int]]:
+    """The minimum ``(dominant_share, tenant_id)`` over the nonempty,
+    unblocked tenants: the linear scan :class:`ShareHeap` replaces, kept
+    as the reference run's selection (:class:`LinearSelector`)."""
+    best: Optional[Tuple[float, int]] = None
     for tenant_id, queue in queues.items():
         if not queue or tenant_id in blocked:
             continue
-        share = ledger.dominant_share(tenant_id, total_cpus, total_gpus)
-        if best_share is None or (share, tenant_id) < (best_share, best_id):
-            best_id, best_share = tenant_id, share
-    return best_id
+        key = (ledger.dominant_share(tenant_id, total_cpus, total_gpus), tenant_id)
+        if best is None or key < best:
+            best = key
+    return best
 
 
 class ShareHeap:
@@ -563,3 +574,64 @@ class ShareHeap:
         for entry in self._stash:
             heapq.heappush(self._entries, entry)
         self._stash.clear()
+
+
+class LinearSelector:
+    """:class:`ShareHeap`'s interface over the :func:`next_tenant` linear
+    scan: the reference tenant selection.  It keeps no entries, so the
+    heap-maintenance calls are no-ops and every pick rescans the queues."""
+
+    __slots__ = ("_ledger", "_total_cpus", "_total_gpus")
+
+    needs_rebuild = False
+
+    def __init__(self, ledger: UsageLedger) -> None:
+        self._ledger = ledger
+        self._total_cpus = 0
+        self._total_gpus = 0
+
+    def configure(self, total_cpus: int, total_gpus: int) -> None:
+        self._total_cpus = total_cpus
+        self._total_gpus = total_gpus
+
+    def _keeps_no_entries(self, *_: Any) -> None:
+        """Heap maintenance; the linear scan has nothing to maintain."""
+
+    invalidate = push = rebuild = stash = flush_stash = _keeps_no_entries
+
+    def pop_min(
+        self, queues: Dict[int, Any], blocked: Set[int]
+    ) -> Optional[Tuple[float, int]]:
+        return next_tenant(
+            queues, self._ledger, self._total_cpus, self._total_gpus, blocked
+        )
+
+
+#: How DRF-style policies pick tenants (the linear scan in reference runs).
+TenantSelector = Union[ShareHeap, LinearSelector]
+
+
+def fill_tenants(
+    selector: TenantSelector,
+    queues: Dict[int, Any],
+    cluster: Cluster,
+    start: Callable[[int], bool],
+) -> None:
+    """Progressive filling over one queue family, the DRF loop every
+    DRF-style policy runs: offer the unblocked tenant with the minimum
+    dominant share to ``start``, which either starts a job from its
+    queue (re-keying the tenant's share) and returns True, or returns
+    False and leaves the tenant blocked for the rest of the pass."""
+    total = cluster.total
+    selector.configure(total.cpus, total.gpus)
+    if selector.needs_rebuild:
+        selector.rebuild(queues)
+    blocked: Set[int] = set()
+    while True:
+        entry = selector.pop_min(queues, blocked)
+        if entry is None:
+            break
+        if not start(entry[1]):
+            blocked.add(entry[1])
+            selector.stash(entry)
+    selector.flush_stash()

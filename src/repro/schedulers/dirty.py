@@ -25,24 +25,18 @@ The soundness argument (docs/scheduler-internals.md) rests on two facts:
 A clean group therefore re-derives exactly its previous answer — zero
 decisions — and skipping it is byte-identical to re-scanning it.
 
-``REPRO_FULL_RESCAN=1`` disables the whole machinery (gates report every
-group dirty, the snapshot cache is bypassed); the parity property test
-runs each policy both ways and asserts identical decision streams.
+A ``SimulationRunner(reference=True)`` run swaps in :class:`ReferenceGate`
+at attach time: every group is always dirty and every snapshot is an
+uncached scan.  The parity suite runs each policy both ways and asserts
+identical decision streams.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Iterable, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.cluster import Cluster
-
-
-def full_rescan_enabled() -> bool:
-    """True when ``REPRO_FULL_RESCAN`` asks for the reference behaviour:
-    no pass skipping, no partial snapshot refresh, no share heaps."""
-    return bool(os.environ.get("REPRO_FULL_RESCAN"))
+from repro.cluster.cluster import Cluster
+from repro.schedulers.placement import FreeState
 
 
 class PassGate:
@@ -56,19 +50,14 @@ class PassGate:
     value and dirty the next pass, exactly as required.
     """
 
-    __slots__ = ("_groups", "_dirty", "_freed_seen", "_enabled")
+    __slots__ = ("_groups", "_dirty", "_freed_seen")
 
-    def __init__(self, groups: Iterable[str]) -> None:
+    def __init__(self, groups: Iterable[str] = ()) -> None:
         self._groups: Tuple[str, ...] = tuple(groups)
         self._dirty: Set[str] = set(self._groups)
         #: ``capacity_freed`` at the end of the last completed pass; -1
         #: means "no pass yet", which never equals a real counter value.
         self._freed_seen = -1
-        self._enabled = not full_rescan_enabled()
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
 
     def mark(self, group: str) -> None:
         """A queue mutation put new work inside ``group``'s window."""
@@ -79,24 +68,42 @@ class PassGate:
         self._dirty.update(self._groups)
         self._freed_seen = -1
 
-    def fresh_capacity(self, cluster: "Cluster") -> bool:
+    def fresh_capacity(self, cluster: Cluster) -> bool:
         """Capacity was freed since the last pass finished."""
         return cluster.capacity_freed != self._freed_seen
 
-    def should_scan(self, group: str, cluster: "Cluster") -> bool:
+    def should_scan(self, group: str, cluster: Cluster) -> bool:
         """Must the coming pass re-examine ``group``'s queues?"""
-        if not self._enabled:
-            return True
         return group in self._dirty or self.fresh_capacity(cluster)
 
-    def can_skip_pass(self, cluster: "Cluster") -> bool:
+    def can_skip_pass(self, cluster: Cluster) -> bool:
         """True when every group is clean — the whole pass would produce
         zero decisions and mutate nothing."""
-        if not self._enabled:
-            return False
         return not self._dirty and not self.fresh_capacity(cluster)
 
-    def pass_done(self, cluster: "Cluster") -> None:
+    def pass_done(self, cluster: Cluster) -> None:
         """A full evaluation of every dirty group just finished."""
         self._dirty.clear()
         self._freed_seen = cluster.capacity_freed
+
+    def snapshot(self, cluster: Cluster, now: Optional[float]) -> FreeState:
+        """The free state a pass places against: the memoized,
+        incrementally refreshed whole-cluster snapshot."""
+        return FreeState.of(cluster, now=now)
+
+
+class ReferenceGate(PassGate):
+    """The full-rescan reference a ``SimulationRunner(reference=True)``
+    run schedules with: no group is ever clean, so no pass or group is
+    skipped, and every snapshot is an uncached scan of every node."""
+
+    __slots__ = ()
+
+    def should_scan(self, group: str, cluster: Cluster) -> bool:
+        return True
+
+    def can_skip_pass(self, cluster: Cluster) -> bool:
+        return False
+
+    def snapshot(self, cluster: Cluster, now: Optional[float]) -> FreeState:
+        return FreeState.of(cluster, among=range(len(cluster.nodes)), now=now)

@@ -17,19 +17,21 @@ that GPU-starved nodes are missing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import (
     Decision,
+    LinearSelector,
     Scheduler,
     ShareHeap,
     StartDecision,
+    TenantSelector,
     UsageLedger,
-    next_tenant,
+    fill_tenants,
 )
-from repro.schedulers.dirty import PassGate
+from repro.schedulers.dirty import PassGate, ReferenceGate
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
 from repro.workload.job import CpuJob, GpuJob, Job
 
@@ -44,8 +46,8 @@ class DrfScheduler(Scheduler):
     changes (a job finishing) alter tenant *order* only — with every
     head still blocked, selection order is irrelevant and the pass still
     returns zero decisions, so they update the heap without dirtying the
-    gate.  Under ``REPRO_FULL_RESCAN=1`` the original linear scan runs
-    as the parity reference.
+    gate.  A reference run swaps in the linear scan (:class:`LinearSelector`)
+    and a gate that never skips.
     """
 
     name = "drf"
@@ -57,7 +59,11 @@ class DrfScheduler(Scheduler):
         self._queues: Dict[int, Deque[Job]] = {}
         self._ledger = UsageLedger()
         self._gate = PassGate(("drf",))
-        self._share_heap = ShareHeap(self._ledger)
+        self._selector: TenantSelector = ShareHeap(self._ledger)
+
+    def _use_reference(self) -> None:
+        self._gate = ReferenceGate()
+        self._selector = LinearSelector(self._ledger)
 
     # ------------------------------------------------------------------ #
     # Queue maintenance
@@ -66,7 +72,7 @@ class DrfScheduler(Scheduler):
         queue = self._queues.setdefault(job.tenant_id, deque())
         if not queue:
             self._gate.mark("drf")
-            self._share_heap.push(job.tenant_id)
+            self._selector.push(job.tenant_id)
         queue.append(job)
 
     def job_finished(self, job: Job, now: float) -> None:
@@ -74,13 +80,13 @@ class DrfScheduler(Scheduler):
             # The tenant's dominant share dropped: re-key it in the heap
             # (order-only change; the gate stays clean).
             if self._queues.get(job.tenant_id):
-                self._share_heap.push(job.tenant_id)
+                self._selector.push(job.tenant_id)
 
     def job_preempted(self, job: Job, now: float, *, preserve_progress: bool) -> None:
         self._ledger.finish(job.job_id)
         self._gate.mark("drf")
         self._queues.setdefault(job.tenant_id, deque()).appendleft(job)
-        self._share_heap.push(job.tenant_id)
+        self._selector.push(job.tenant_id)
 
     # ------------------------------------------------------------------ #
     # Progressive filling
@@ -90,62 +96,29 @@ class DrfScheduler(Scheduler):
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
-        total = cluster.total
-        blocked: Set[int] = set()
+        free = self._gate.snapshot(cluster, now)
 
-        if not self._gate.enabled:
-            # Reference implementation: linear min-share scan per pick.
-            while True:
-                tenant_id = next_tenant(
-                    self._queues, self._ledger, total.cpus, total.gpus, blocked
-                )
-                if tenant_id is None:
-                    break
-                self._fill_one(tenant_id, free, blocked, decisions)
-            return decisions
+        def start_head(tenant_id: int) -> bool:
+            queue = self._queues[tenant_id]
+            head = queue[0]
+            placements = self._try_place(head, free)
+            if placements is None:
+                return False
+            free.commit(placements)
+            queue.popleft()
+            requested = head.requested
+            self._ledger.start(
+                head.job_id, tenant_id, requested.cpus, requested.gpus
+            )
+            if queue:
+                self._selector.push(tenant_id)
+            decisions.append(StartDecision(job=head, placements=tuple(placements)))
+            return True
 
-        heap = self._share_heap
-        heap.configure(total.cpus, total.gpus)
-        if heap.needs_rebuild:
-            heap.rebuild(self._queues)
         if self._gate.should_scan("drf", cluster):
-            while True:
-                entry = heap.pop_min(self._queues, blocked)
-                if entry is None:
-                    break
-                tenant_id = entry[1]
-                if self._fill_one(tenant_id, free, blocked, decisions):
-                    if self._queues[tenant_id]:
-                        heap.push(tenant_id)
-                else:
-                    heap.stash(entry)
-        heap.flush_stash()
+            fill_tenants(self._selector, self._queues, cluster, start_head)
         self._gate.pass_done(cluster)
         return decisions
-
-    def _fill_one(
-        self,
-        tenant_id: int,
-        free: FreeState,
-        blocked: Set[int],
-        decisions: List[Decision],
-    ) -> bool:
-        """Try the tenant's head job; True when it was placed."""
-        queue = self._queues[tenant_id]
-        head = queue[0]
-        placements = self._try_place(head, free)
-        if placements is None:
-            blocked.add(tenant_id)
-            return False
-        free.commit(placements)
-        queue.popleft()
-        requested = head.requested
-        self._ledger.start(
-            head.job_id, tenant_id, requested.cpus, requested.gpus
-        )
-        decisions.append(StartDecision(job=head, placements=tuple(placements)))
-        return True
 
     @staticmethod
     def _try_place(job: Job, free: FreeState):
@@ -183,4 +156,4 @@ class DrfScheduler(Scheduler):
         }
         self._ledger.restore(state["ledger"])
         self._gate.mark_all()
-        self._share_heap.invalidate()
+        self._selector.invalidate()

@@ -25,8 +25,8 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import Decision, Scheduler, StartDecision
-from repro.schedulers.dirty import PassGate
-from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
+from repro.schedulers.dirty import PassGate, ReferenceGate
+from repro.schedulers.placement import place_cpu_job, place_gpu_job
 from repro.workload.job import CpuJob, GpuJob, Job
 
 
@@ -51,6 +51,9 @@ class FifoScheduler(Scheduler):
         self._gpu_queue: Deque[GpuJob] = deque()
         self._cpu_queue: Deque[CpuJob] = deque()
         self._gate = PassGate(("gpu", "cpu"))
+
+    def _use_reference(self) -> None:
+        self._gate = ReferenceGate()
 
     def submit(self, job: Job, now: float) -> None:
         if isinstance(job, GpuJob):
@@ -81,7 +84,7 @@ class FifoScheduler(Scheduler):
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
+        free = self._gate.snapshot(cluster, now)
 
         if self._gate.should_scan("gpu", cluster):
             while self._gpu_queue:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.schedulers.dirty import full_rescan_enabled
 from repro.workload.job import CpuJob, GpuJob
 
 Placement = Tuple[int, int, int]  # (node_id, cpus, gpus)
@@ -96,16 +95,12 @@ class FreeState:
         * only the de-prioritized set moved → swap dset, zero node reads;
         * otherwise → pure hit.
 
-        ``REPRO_FULL_RESCAN=1`` bypasses the memo entirely — every call
-        is an uncached scan, the reference behaviour the parity test
-        compares against.
+        Passing ``among`` (even every node) bypasses the memo: the call
+        is an uncached scan, which is what the reference gate
+        (:class:`repro.schedulers.dirty.ReferenceGate`) asks for.
         """
-        if among is not None or full_rescan_enabled():
-            return cls._build(
-                cluster,
-                range(len(cluster.nodes)) if among is None else among,
-                now,
-            )
+        if among is not None:
+            return cls._build(cluster, among, now)
         health = cluster.health
         if now is None:
             qset: frozenset = frozenset()
@@ -125,7 +120,7 @@ class FreeState:
             return state
         _, _, c_qset, c_dset, free = cached
         if version != cached[0] or qset != c_qset:
-            cls.refreshes += 1
+            cluster.free_snapshot_refreshes += 1
             nodes = cluster.nodes
             for node_id in sorted(touched | (qset ^ c_qset)):
                 free[node_id] = (
@@ -147,7 +142,7 @@ class FreeState:
         now: Optional[float],
     ) -> "FreeState":
         """Uncached snapshot construction (one read per node)."""
-        cls.rebuilds += 1
+        cluster.free_snapshot_rebuilds += 1
         quarantined: Set[int] = set()
         deprioritized: Set[int] = set()
         if now is not None:

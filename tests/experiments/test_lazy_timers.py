@@ -1,8 +1,8 @@
 """Unit tests for the lazy completion-timer engine and reprice memos.
 
-The parity sweep (tests/schedulers/test_lazy_reprice_parity.py) proves
-lazy == eager over whole simulations; these tests pin the individual
-mechanisms — stale fire + re-arm, earlier-move cancel + re-arm, the
+The parity sweep (tests/schedulers/reference_parity.py) proves lazy ==
+eager (``SimulationRunner(reference=True)``) over whole simulations;
+these tests pin the individual mechanisms — stale fire + re-arm, earlier-move cancel + re-arm, the
 epoch-fingerprint memo, and the activity-indexed monitor surface — with
 hand-computable numbers.
 """
@@ -42,17 +42,19 @@ def _cpu(job_id, cores=4, duration=100.0, submit=0.0):
     )
 
 
-def _runner(nodes=2):
+def _runner(nodes=2, *, reference=False):
     cluster = Cluster(small_cluster(nodes=nodes))
-    return SimulationRunner(cluster, FifoScheduler(), sample_interval_s=1e9)
+    return SimulationRunner(
+        cluster, FifoScheduler(), sample_interval_s=1e9, reference=reference
+    )
 
 
 class TestLazyCompletionTimers:
     """One uncontended CPU job (speed exactly 1.0) slowed by stragglers:
     every timestamp below is an exact float."""
 
-    def _straggled_runner(self, heal_after_s):
-        runner = _runner()
+    def _straggled_runner(self, heal_after_s, *, reference=False):
+        runner = _runner(reference=reference)
         runner.submit_at(0.0, _cpu("c", duration=100.0))
         runner.engine.run(until=10.0)
         # Slow to 0.25x at t=10: completion moves 100 -> 10 + 90/0.25.
@@ -101,9 +103,8 @@ class TestLazyCompletionTimers:
         assert "completion-stale" in profiler.timers
         assert runner.collector.records["c"].finish_time == 370.0
 
-    def test_eager_hatch_never_fires_stale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
-        runner = self._straggled_runner(heal_after_s=1e6)
+    def test_eager_hatch_never_fires_stale(self):
+        runner = self._straggled_runner(heal_after_s=1e6, reference=True)
         record = runner._running_cpu["c"]
         # Eager cancel+reschedule keeps the armed timer authoritative.
         assert record.completion.time == 370.0
@@ -113,7 +114,7 @@ class TestLazyCompletionTimers:
 
 
 class TestRepriceMemo:
-    def _counting_runner(self, monkeypatch):
+    def _counting_runner(self, monkeypatch, *, reference=False):
         calls = []
 
         def counting(*args, **kwargs):
@@ -123,7 +124,7 @@ class TestRepriceMemo:
         monkeypatch.setattr(
             "repro.experiments.runner.iteration_time", counting
         )
-        runner = _runner()
+        runner = _runner(reference=reference)
         runner.submit_at(0.0, _gpu("j", iters=10**9))
         runner.engine.run(until=10.0)
         return runner, calls
@@ -151,8 +152,7 @@ class TestRepriceMemo:
         assert len(calls) == baseline + 1
 
     def test_eager_hatch_always_recomputes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
-        runner, calls = self._counting_runner(monkeypatch)
+        runner, calls = self._counting_runner(monkeypatch, reference=True)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
         runner._refresh_nodes({node_id})
@@ -200,9 +200,8 @@ class TestActivityIndexedMonitor:
             "inf"
         )
 
-    def test_eager_hatch_ticks_every_node(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
-        runner = _runner(nodes=3)
+    def test_eager_hatch_ticks_every_node(self):
+        runner = _runner(nodes=3, reference=True)
         assert list(runner.monitor_active_node_ids()) == [0, 1, 2]
         runner.monitor_deactivate_node(1)
         assert list(runner.monitor_active_node_ids()) == [0, 1, 2]

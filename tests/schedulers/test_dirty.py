@@ -1,4 +1,5 @@
-"""PassGate windows, ShareHeap/linear-scan equivalence, skip accounting."""
+"""PassGate windows, tenant-selector/linear-scan equivalence, skip
+accounting."""
 
 import random
 from collections import deque
@@ -6,14 +7,17 @@ from collections import deque
 import pytest
 
 from repro import profiling
+from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
+from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import (
     Scenario,
     default_schedulers,
     run_scenario,
 )
-from repro.schedulers.base import ShareHeap, UsageLedger
-from repro.schedulers.dirty import PassGate
+from repro.schedulers.base import LinearSelector, ShareHeap, UsageLedger
+from repro.schedulers.dirty import PassGate, ReferenceGate
+from repro.schedulers.fifo import FifoScheduler
 from repro.workload.tracegen import TraceConfig
 
 
@@ -67,14 +71,24 @@ class TestPassGate:
         assert gate.should_scan("a", cluster)
         assert not gate.can_skip_pass(cluster)
 
-    def test_full_rescan_env_disables_the_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_RESCAN", "1")
-        cluster = _FakeCluster()
-        gate = PassGate(("a",))
-        gate.pass_done(cluster)
-        assert not gate.enabled
-        assert gate.should_scan("a", cluster)
-        assert not gate.can_skip_pass(cluster)
+    def test_reference_run_disables_the_gate(self):
+        verdicts = {}
+        for reference in (False, True):
+            cluster = Cluster(small_cluster(nodes=2))
+            scheduler = FifoScheduler()
+            SimulationRunner(cluster, scheduler, reference=reference)
+            scheduler.schedule(cluster, 0.0)
+            verdicts[reference] = (
+                type(scheduler._gate),
+                scheduler.can_skip_pass(cluster),
+                scheduler._gate.should_scan("gpu", cluster),
+            )
+        # After a pass over an idle cluster the default gate skips; the
+        # reference run's gate never does.
+        assert verdicts == {
+            False: (PassGate, True, False),
+            True: (ReferenceGate, False, True),
+        }
 
 
 def _linear_min(ledger, queues, blocked, total_cpus, total_gpus):
@@ -93,9 +107,10 @@ def _linear_min(ledger, queues, blocked, total_cpus, total_gpus):
 
 
 class TestShareHeapEquivalence:
-    """Drive a heap and the linear scan through randomized pass cycles
-    (submits, starts, finishes, blocked tenants) and assert they pick the
-    same tenant at every single selection point."""
+    """Drive a heap, the linear selector and the test's own linear scan
+    through randomized pass cycles (submits, starts, finishes, blocked
+    tenants) and assert all three pick the same tenant at every single
+    selection point."""
 
     TOTAL_CPUS = 64
     TOTAL_GPUS = 16
@@ -103,16 +118,19 @@ class TestShareHeapEquivalence:
     def test_matches_linear_scan_across_randomized_passes(self):
         rng = random.Random(1234)
         ledger = UsageLedger()
-        heap = ShareHeap(ledger)
-        heap.configure(self.TOTAL_CPUS, self.TOTAL_GPUS)
+        # The heap and the reference run's linear selector, driven side
+        # by side and maintained exactly the way the DRF policy does.
+        selectors = (ShareHeap(ledger), LinearSelector(ledger))
+        for selector in selectors:
+            selector.configure(self.TOTAL_CPUS, self.TOTAL_GPUS)
         queues = {tenant_id: deque() for tenant_id in range(6)}
         running = []
         job_seq = 0
 
-        heap.rebuild(queues)
+        for selector in selectors:
+            selector.rebuild(queues)
         for _ in range(60):
-            # Mutations between passes, maintaining the heap exactly the
-            # way the DRF policy does.
+            # Mutations between passes.
             for _ in range(rng.randrange(4)):
                 tenant_id = rng.randrange(6)
                 job = (f"j{job_seq}", rng.randrange(1, 9), rng.randrange(3))
@@ -120,7 +138,8 @@ class TestShareHeapEquivalence:
                 was_empty = not queues[tenant_id]
                 queues[tenant_id].append(job)
                 if was_empty:
-                    heap.push(tenant_id)
+                    for selector in selectors:
+                        selector.push(tenant_id)
             for _ in range(rng.randrange(3)):
                 if not running:
                     break
@@ -128,30 +147,36 @@ class TestShareHeapEquivalence:
                 footprint = ledger.finish(job_id)
                 assert footprint is not None and footprint[0] == tenant_id
                 if queues[tenant_id]:
-                    heap.push(tenant_id)
+                    for selector in selectors:
+                        selector.push(tenant_id)
 
             # One scheduling pass: repeatedly select, randomly either
             # "place" the head job or declare the tenant blocked.
             blocked = set()
             while True:
-                entry = heap.pop_min(queues, blocked)
+                entries = [
+                    selector.pop_min(queues, blocked) for selector in selectors
+                ]
                 reference = _linear_min(
                     ledger, queues, blocked, self.TOTAL_CPUS, self.TOTAL_GPUS
                 )
-                assert entry == reference
-                if entry is None:
+                assert entries == [reference, reference]
+                if reference is None:
                     break
-                _, tenant_id = entry
+                _, tenant_id = reference
                 if rng.random() < 0.5:
                     job_id, cpus, gpus = queues[tenant_id].popleft()
                     ledger.start(job_id, tenant_id, cpus, gpus)
                     running.append((job_id, tenant_id))
                     if queues[tenant_id]:
-                        heap.push(tenant_id)
+                        for selector in selectors:
+                            selector.push(tenant_id)
                 else:
                     blocked.add(tenant_id)
-                    heap.stash(entry)
-            heap.flush_stash()
+                    for selector, entry in zip(selectors, entries):
+                        selector.stash(entry)
+            for selector in selectors:
+                selector.flush_stash()
 
 
 @pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.config import small_cluster
+from repro.experiments.runner import SimulationRunner
 from repro.perfmodel.stages import TrainSetup
+from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
 from repro.workload.job import CpuJob, GpuJob
 
@@ -182,25 +186,26 @@ class TestFreeStateMemo:
 
     def test_repeat_snapshot_reuses_scan(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        before = FreeState.rebuilds
+        before = tiny_cluster.free_snapshot_rebuilds
         again = FreeState.of(tiny_cluster, now=0.0)
-        assert FreeState.rebuilds == before
+        assert tiny_cluster.free_snapshot_rebuilds == before
         assert again.free_of(0) == (28, 4)
 
     def test_mutation_refreshes_only_touched_nodes(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        rebuilds = FreeState.rebuilds
-        refreshes = FreeState.refreshes
+        rebuilds = tiny_cluster.free_snapshot_rebuilds
+        refreshes = tiny_cluster.free_snapshot_refreshes
         tiny_cluster.allocate("x", [(0, 4, 1)])
         fresh = FreeState.of(tiny_cluster, now=0.0)
         # An attributed mutation partially refreshes the cache (node 0
         # only) instead of rebuilding the whole snapshot.
-        assert FreeState.rebuilds == rebuilds
-        assert FreeState.refreshes == refreshes + 1
+        assert tiny_cluster.free_snapshot_rebuilds == rebuilds
+        assert tiny_cluster.free_snapshot_refreshes == refreshes + 1
         assert fresh.free_of(0) == (24, 3)
         assert fresh.free_of(1) == (28, 4)
         FreeState.of(tiny_cluster, now=0.0)
-        assert FreeState.refreshes == refreshes + 1  # second call reuses
+        # The second call reuses the refreshed cache.
+        assert tiny_cluster.free_snapshot_refreshes == refreshes + 1
 
     def test_cached_snapshots_are_independent(self, tiny_cluster):
         first = FreeState.of(tiny_cluster, now=0.0)
@@ -212,49 +217,68 @@ class TestFreeStateMemo:
 
     def test_health_strike_swaps_penalties_without_rescan(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        rebuilds = FreeState.rebuilds
-        refreshes = FreeState.refreshes
+        rebuilds = tiny_cluster.free_snapshot_rebuilds
+        refreshes = tiny_cluster.free_snapshot_refreshes
         tiny_cluster.health.record_failure(0, 0.0, kind="crash")
         flagged = FreeState.of(tiny_cluster, now=0.0)
         # A SUSPECT transition changes best-fit ordering, not capacity:
         # the cache swaps the de-prioritized set and reads no node.
-        assert FreeState.rebuilds == rebuilds
-        assert FreeState.refreshes == refreshes
+        assert tiny_cluster.free_snapshot_rebuilds == rebuilds
+        assert tiny_cluster.free_snapshot_refreshes == refreshes
         assert flagged.placement_penalty(0) == 1
         assert flagged.placement_penalty(1) == 0
 
     def test_quarantine_refreshes_the_quarantined_node(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        rebuilds = FreeState.rebuilds
+        rebuilds = tiny_cluster.free_snapshot_rebuilds
         for i in range(3):
             tiny_cluster.health.record_failure(0, float(i), kind="crash")
         gated = FreeState.of(tiny_cluster, now=10.0)
         # Quarantine zeroes the node's offered capacity; only the nodes
         # entering/leaving the quarantine set are re-read.
-        assert FreeState.rebuilds == rebuilds
+        assert tiny_cluster.free_snapshot_rebuilds == rebuilds
         assert gated.free_of(0) == (0, 0)
         assert gated.free_of(1) == (28, 4)
 
     def test_now_change_alone_reuses_cache(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        before = FreeState.rebuilds
+        before = tiny_cluster.free_snapshot_rebuilds
         later = FreeState.of(tiny_cluster, now=30.0)
         # Free capacity is time-independent; with no health transitions
         # between the two instants the snapshot is identical.
-        assert FreeState.rebuilds == before
+        assert tiny_cluster.free_snapshot_rebuilds == before
         assert later.free_of(0) == (28, 4)
 
     def test_among_bypasses_cache(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
-        before = FreeState.rebuilds
+        before = tiny_cluster.free_snapshot_rebuilds
         restricted = FreeState.of(tiny_cluster, among=[1], now=0.0)
-        assert FreeState.rebuilds == before + 1
+        assert tiny_cluster.free_snapshot_rebuilds == before + 1
         assert restricted.node_ids() == [1]
 
-    def test_full_rescan_env_bypasses_cache(self, tiny_cluster, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_RESCAN", "1")
+    def test_reference_run_bypasses_cache(self):
+        rebuilds = {}
+        for reference in (False, True):
+            cluster = Cluster(small_cluster(nodes=2))
+            scheduler = FifoScheduler()
+            SimulationRunner(cluster, scheduler, reference=reference)
+            for _ in range(3):
+                scheduler.schedule(cluster, 0.0)
+            rebuilds[reference] = cluster.free_snapshot_rebuilds
+        # The default passes build the snapshot once and reuse it; every
+        # reference pass scans the cluster afresh.
+        assert rebuilds == {False: 1, True: 3}
+
+    def test_counters_are_per_cluster(self, tiny_cluster):
+        other = Cluster(small_cluster(nodes=2))
         FreeState.of(tiny_cluster, now=0.0)
-        before = FreeState.rebuilds
-        fresh = FreeState.of(tiny_cluster, now=0.0)
-        assert FreeState.rebuilds == before + 1
-        assert fresh.free_of(0) == (28, 4)
+        tiny_cluster.allocate("x", [(0, 4, 1)])
+        FreeState.of(tiny_cluster, now=0.0)
+        assert (
+            tiny_cluster.free_snapshot_rebuilds,
+            tiny_cluster.free_snapshot_refreshes,
+        ) == (1, 1)
+        assert (
+            other.free_snapshot_rebuilds,
+            other.free_snapshot_refreshes,
+        ) == (0, 0)
