@@ -71,22 +71,6 @@ def snapshot_run(
     return state
 
 
-def build_runner(spec: "RunSpec") -> SimulationRunner:
-    """A fresh runner for ``spec`` — the construction ``spec.execute()``
-    performs, with the runner handed back instead of run to completion."""
-    from repro.parallel.spec import build_scheduler
-
-    scenario = spec.resolved_scenario()
-    return SimulationRunner(
-        scenario.build_cluster(),
-        build_scheduler(spec.scheduler, spec.coda_config, spec.restart_policy),
-        scenario.build_trace(),
-        sample_interval_s=spec.sample_interval_s,
-        fault_injector=scenario.build_fault_injector(),
-        health_config=spec.health_config,
-    )
-
-
 def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
     """Rebuild a mid-flight simulation of ``spec`` from snapshot ``state``.
 
@@ -105,7 +89,7 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
     scenario = spec.resolved_scenario()
     trace = scenario.build_trace()
     jobs_by_id = {job.job_id: job for job in trace.jobs}
-    runner = build_runner(spec)
+    runner = spec.build_runner()
     engine = runner.engine
     try:
         # Discards every construction-time event (arrivals, monitor and
@@ -200,7 +184,7 @@ def execute_with_checkpoints(
     if restore_from is not None:
         runner = restore_run(spec, read_checkpoint(restore_from))
     else:
-        runner = build_runner(spec)
+        runner = spec.build_runner()
     if checkpoint_dir is not None and checkpoint_every_events:
         writer = CheckpointWriter(
             runner, checkpoint_dir, checkpoint_every_events, spec=spec

@@ -4,12 +4,12 @@
 a simulated cluster:
 
 * arrivals and completions are discrete events;
-* every running DNN training job carries (work_done, speed); *any* change
-  of conditions on its nodes — a CPU job starting or finishing, a throttle,
-  a core retune, a new co-located trainer — re-prices its speed from the
-  performance model and reschedules its completion event.  This
-  progress-based execution is what lets contention and adaptive allocation
-  show up in end-to-end latencies;
+* every running job carries (work_done, speed); *any* change of conditions
+  on its nodes — a CPU job starting or finishing, a throttle, a core
+  retune, a new co-located trainer — re-prices its speed from the
+  performance model and re-aims its completion event.  This
+  progress-based execution, :class:`JobPricing`, is what lets contention
+  and adaptive allocation show up in end-to-end latencies;
 * the runner implements :class:`~repro.schedulers.base.SchedulerContext`,
   the runtime-control surface CODA's allocator and eliminator act through.
 """
@@ -17,13 +17,14 @@ a simulated cluster:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -35,6 +36,7 @@ from typing import (
 from repro import profiling
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.health.config import HealthConfig
 from repro.health.tracker import NodeHealthTracker
 from repro.metrics.collector import MetricsCollector
@@ -77,77 +79,417 @@ DEFAULT_SAMPLE_INTERVAL_S = 300.0
 
 
 @dataclass
-class _RunningGpu:
-    job: GpuJob
-    profile: ModelProfile
-    cores_per_node: int
+class _RunningJob:
+    """The fields every running job's record shares.
+
+    ``completion_time`` is the authoritative completion time.  The armed
+    ``completion`` event may lag behind it (fire earlier) when repricing
+    moved the completion later: the stale fire finds ``completion_time >
+    now`` and re-arms (validate-on-pop, the ShareHeap idiom).  Invariant:
+    armed time <= completion_time.
+    """
+
+    job: Job
     work_done: float
     speed: float
-    utilization: float
     last_update: float
-    completion: EventHandle
-    #: Authoritative completion time.  The armed heap event may lag behind
-    #: (fire earlier) when repricing moved the completion later: the stale
-    #: fire detects ``completion_time > now`` and re-arms (validate-on-pop,
-    #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
-    completion_time: float = 0.0
-    #: Contention-epoch fingerprint of the last full reprice — matching
-    #: epochs prove nothing feeding ``iteration_time`` changed, so speed
-    #: and utilization can be reused verbatim ([[cache]] contract in
-    #: contracts.toml; bit-identical because iteration_time is pure).
-    reprice_memo: Optional[Tuple[Any, ...]] = None
+    completion: Optional[EventHandle] = field(default=None, init=False)
+    completion_time: float = field(default=0.0, init=False)
+    #: Fingerprint of the last full reprice (see each record type's
+    #: ``fingerprint``): a match proves nothing the speed model reads
+    #: changed, so the price is reused verbatim ([[cache]] contracts in
+    #: contracts.toml).
+    reprice_memo: Optional[Tuple[Any, ...]] = field(default=None, init=False)
+    #: Work to completion and the completion timer's tag, fixed for the
+    #: record's lifetime.  Plain attributes, not properties: the reprice
+    #: hot path reads them on every call.
+    total_work: float = field(init=False)
+    done_tag: str = field(init=False)
+
+
+@dataclass
+class _RunningGpu(_RunningJob):
+    job: GpuJob
+    cores_per_node: int
+    utilization: float
+    cluster: InitVar[Cluster]
+    #: The model profile, interconnect and participating Node objects,
+    #: all fixed for the record's lifetime (a restarted job gets a fresh
+    #: record); pinned to keep per-reprice lookups off the hot path.
+    profile: ModelProfile = field(init=False)
+    interconnect: Any = field(init=False)
+    nodes: List[Node] = field(init=False)
     #: (cores_per_node, contention effect key) of the last
     #: ``iteration_time`` call — the fallback memo when epochs moved but
     #: the values the speed model actually reads (grant ratio, post-knee
     #: bandwidth/LLC excess, PCIe ratio — see ``contention.effect_key``)
     #: landed unchanged ([[cache]] contract).
-    state_memo: Optional[Tuple[Any, ...]] = None
-    #: The job's allocation, interconnect, and participating Node objects,
-    #: all fixed for the record's lifetime (a restarted job gets a fresh
-    #: record); cached to keep per-reprice dict lookups off the hot path.
-    allocation: Optional[Allocation] = None
-    interconnect: Any = None
-    nodes: Optional[List[Any]] = None
-    #: Work to completion and the completion timer's tag, fixed for the
-    #: record's lifetime.  Plain attributes, not properties: the
-    #: ``_aim_completion`` hot path reads them on every reprice.
-    total_work: float = field(init=False)
-    done_tag: str = field(init=False)
+    state_memo: Optional[Tuple[Any, ...]] = field(default=None, init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cluster: Cluster) -> None:
+        job_id = self.job.job_id
+        node_ids = cluster.allocation_of(job_id).node_ids
+        self.profile = get_model(self.job.model_name)
+        self.interconnect = cluster.fabric.for_nodes(node_ids)
+        self.nodes = [cluster.node(node_id) for node_id in node_ids]
         self.total_work = self.job.total_iterations
-        self.done_tag = f"gpu-done:{self.job.job_id}"
+        self.done_tag = f"gpu-done:{job_id}"
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """The contention epochs of every node the job spans: matching
+        epochs prove no grant, LLC occupancy or PCIe demand it can see
+        has changed."""
+        parts: List[Any] = [self.cores_per_node]
+        for node in self.nodes:
+            parts.append(node.bandwidth.epoch)
+            parts.append(node.contention_epoch)
+        return tuple(parts)
+
+    def price(self, memo: bool) -> None:
+        """Speed and utilization under the worst contention across the
+        job's nodes (iterations are paced by the slowest participant).
+
+        With ``memo``, a :class:`ContentionState` that landed on the same
+        effect key as last time skips the ``iteration_time`` call and the
+        idempotent utilization re-writes (bit-identical: the model is a
+        pure function of that key).
+        """
+        job_id = self.job.job_id
+        nodes = self.nodes
+        grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
+        for node in nodes:
+            bandwidth = node.bandwidth
+            grant = min(grant, bandwidth.grant_ratio(job_id))
+            pressure = max(pressure, bandwidth.pressure)
+            llc = max(llc, node.llc_pressure)
+            pcie = min(pcie, node.pcie.grant_ratio())
+        contention = ContentionState(
+            bw_grant_ratio=max(grant, 1e-6),
+            node_bw_pressure=pressure,
+            llc_pressure=llc,
+            pcie_grant_ratio=pcie,
+        )
+        state_key = (self.cores_per_node,) + effect_key(contention)
+        if not memo or state_key != self.state_memo:
+            breakdown = iteration_time(
+                self.profile,
+                self.job.setup,
+                self.cores_per_node,
+                contention,
+                interconnect=self.interconnect,
+            )
+            self.speed = 1.0 / breakdown.total_s
+            self.utilization = breakdown.utilization
+            for node in nodes:
+                node.set_gpu_utilization(job_id, self.utilization)
+            self.state_memo = state_key
+
+    def row(self) -> List[Any]:
+        """The record's checkpoint row (see :meth:`JobPricing.restore`)."""
+        return [
+            self.cores_per_node,
+            self.work_done,
+            self.speed,
+            self.utilization,
+            self.last_update,
+            self.completion_time,
+        ]
 
 
 @dataclass
-class _RunningCpu:
+class _RunningCpu(_RunningJob):
     job: CpuJob
     node_id: int
     cores: int
-    work_done: float
-    speed: float
-    last_update: float
-    completion: EventHandle
+    cluster: InitVar[Cluster]
     #: Fault-injected slowdown (1.0 = healthy); multiplies the speed.
     straggle_factor: float = 1.0
-    #: See _RunningGpu.completion_time.
-    completion_time: float = 0.0
-    #: (cores, straggle_factor, bandwidth epoch) of the last reprice —
-    #: the three inputs the CPU speed model reads ([[cache]] contract).
-    reprice_memo: Optional[Tuple[Any, ...]] = None
-    #: The home Node object, fixed for the record's lifetime; pinned so
-    #: repricing skips the per-call cluster lookup.
-    node: Any = None
-    #: See _RunningGpu.total_work.
-    total_work: float = field(init=False)
-    done_tag: str = field(init=False)
+    #: The home Node object, fixed for the record's lifetime.
+    node: Node = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cluster: Cluster) -> None:
+        self.node = cluster.node(self.node_id)
         self.total_work = self.job.duration_s
         self.done_tag = f"cpu-done:{self.job.job_id}"
 
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """Everything the speed model reads: core count, fault factor,
+        and the bandwidth grant (covered by the monitor epoch)."""
+        return (self.cores, self.straggle_factor, self.node.bandwidth.epoch)
 
-_Running = Union[_RunningGpu, _RunningCpu]
+    def price(self, memo: bool) -> None:
+        core_factor = self.cores / self.job.cores
+        # HEAT-like jobs are pure bandwidth streamers and slow in direct
+        # proportion to their grant; ordinary CPU jobs are mostly
+        # compute-bound and only a small fraction of their work stalls.
+        grant = self.node.bandwidth.grant_ratio(self.job.job_id)
+        if self.job.is_heat:
+            bw_factor = grant
+        else:
+            bw_factor = (1.0 - ORDINARY_CPU_BW_BOUND) + ORDINARY_CPU_BW_BOUND * grant
+        self.speed = max(1e-9, core_factor * bw_factor * self.straggle_factor)
+
+    def row(self) -> List[Any]:
+        """The record's checkpoint row (see :meth:`JobPricing.restore`)."""
+        return [
+            self.node_id,
+            self.cores,
+            self.work_done,
+            self.speed,
+            self.last_update,
+            self.straggle_factor,
+            self.completion_time,
+        ]
+
+
+class JobPricing:
+    """Progress-based execution of running jobs: the pricing layer.
+
+    Every running job carries (work_done, speed).  Any change of
+    conditions on its nodes — a CPU job starting or finishing, a
+    throttle, a core retune, a new co-located trainer — re-prices its
+    speed from the performance model and re-aims its completion timer;
+    that is what lets contention and adaptive allocation show up in
+    end-to-end latencies.  The layer owns the running-job records,
+    accrual, both reprice memos, the lazy completion timers (armed,
+    aimed, validated when they fire stale), the progress stashed by
+    preemptions, and the records' checkpoint rows.  ``on_due(job_id)``
+    runs when a job's completion timer fires at its authoritative time.
+
+    ``reference=True`` builds the plain layer every memo must reproduce:
+    full re-pricing on every touch and eager cancel+re-arm timers, which
+    never fire stale.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        cluster: Cluster,
+        on_due: Callable[[str], None],
+        reference: bool = False,
+    ) -> None:
+        self.engine = engine
+        self.cluster = cluster
+        self._on_due = on_due
+        self._lazy = not reference
+        self.gpu_jobs: Dict[str, _RunningGpu] = {}
+        self.cpu_jobs: Dict[str, _RunningCpu] = {}
+        #: Progress a preempted or failed training job resumes from.
+        self._stashed: Dict[str, float] = {}
+        #: Lazy completion timers that fired early and were re-armed.
+        self.stale_fires = 0
+
+    def __contains__(self, job_id: str) -> bool:
+        return job_id in self.gpu_jobs or job_id in self.cpu_jobs
+
+    def start(self, job: Union[GpuJob, CpuJob], allocation: Allocation) -> None:
+        """Track a job that just started on ``allocation``: price it, arm
+        its completion, then re-price everything sharing its nodes."""
+        now = self.engine.now
+        share = allocation.shares[0]
+        record: Union[_RunningGpu, _RunningCpu]
+        if isinstance(job, GpuJob):
+            record = self.gpu_jobs[job.job_id] = _RunningGpu(
+                job=job,
+                work_done=self._stashed.pop(job.job_id, 0.0),
+                speed=0.0,
+                last_update=now,
+                cores_per_node=share.cpus,
+                utilization=0.0,
+                cluster=self.cluster,
+            )
+        else:
+            record = self.cpu_jobs[job.job_id] = _RunningCpu(
+                job=job,
+                work_done=0.0,
+                speed=0.0,
+                last_update=now,
+                node_id=share.node_id,
+                cores=share.cpus,
+                cluster=self.cluster,
+            )
+        self.reprice(record)
+        self.touch(allocation.node_ids)
+
+    def stop(self, job_id: str) -> Union[_RunningGpu, _RunningCpu]:
+        """Drop a running job's record, accrue its progress to now and
+        cancel its completion timer (a no-op for the timer now firing)."""
+        record = self.gpu_jobs.pop(job_id, None) or self.cpu_jobs.pop(job_id)
+        record.work_done += record.speed * (self.engine.now - record.last_update)
+        assert record.completion is not None
+        record.completion.cancel()
+        return record
+
+    def stash(self, job_id: str, work_done: float) -> None:
+        """Keep ``work_done`` for the job's next start."""
+        self._stashed[job_id] = work_done
+
+    def touch(self, node_ids: Iterable[int]) -> None:
+        """Re-price every job touching the given nodes.
+
+        Job ids land in lists (the ``seen`` set only guards against a
+        multi-node gang appearing under several of its nodes; CPU jobs
+        are single-node) and each list is sorted once: training jobs
+        first, then CPU jobs, each in job-id order — the order the
+        decision stream depends on.
+        """
+        gpu_ids: List[str] = []
+        cpu_ids: List[str] = []
+        seen: Set[str] = set()
+        gpu_jobs = self.gpu_jobs
+        cpu_jobs = self.cpu_jobs
+        for node_id in sorted(node_ids):
+            for job_id in self.cluster.node(node_id).jobs_here():
+                if job_id in gpu_jobs:
+                    if job_id not in seen:
+                        seen.add(job_id)
+                        gpu_ids.append(job_id)
+                elif job_id in cpu_jobs:
+                    cpu_ids.append(job_id)
+        gpu_ids.sort()
+        cpu_ids.sort()
+        for job_id in gpu_ids:
+            self.reprice(gpu_jobs[job_id])
+        for job_id in cpu_ids:
+            self.reprice(cpu_jobs[job_id])
+
+    def reprice(self, record: Union[_RunningGpu, _RunningCpu]) -> None:
+        """Memo check, accrue, price, aim: the one pricing path.
+
+        A fingerprint equal to ``reprice_memo`` reuses the last price
+        verbatim; within the same event instant the armed completion
+        target provably holds too and the call returns outright.  The
+        timer is only re-armed when the completion moved earlier: a later
+        target leaves it armed early, to fire stale and re-arm
+        (validate-on-pop) — cheaper than a cancel+push on every touch.
+        """
+        now = self.engine.now
+        lazy = self._lazy
+        fingerprint = record.fingerprint() if lazy else None
+        hit = lazy and fingerprint == record.reprice_memo
+        if hit and record.last_update == now and record.completion is not None:
+            return  # same instant, same epochs: the armed target holds
+        record.work_done += record.speed * (now - record.last_update)
+        record.last_update = now
+        if not hit:
+            record.price(lazy)
+            record.reprice_memo = fingerprint
+        target = now + max(0.0, (record.total_work - record.work_done) / record.speed)
+        record.completion_time = target
+        completion = record.completion
+        if completion is not None:
+            if lazy and target >= completion.time:
+                return
+            completion.cancel()
+        self._arm(record, target)
+
+    def _arm(self, record: _RunningJob, when: float) -> None:
+        job_id = record.job.job_id
+        record.completion = self.engine.schedule(
+            when,
+            lambda job_id=job_id: self._on_fire(job_id),
+            priority=EventPriority.COMPLETION,
+            tag=record.done_tag,
+        )
+
+    def _on_fire(self, job_id: str) -> None:
+        record = self.gpu_jobs.get(job_id) or self.cpu_jobs[job_id]
+        if record.completion_time > self.engine.now:
+            # Validate-on-pop: repricing moved the completion later and
+            # left this timer armed early, so the fire is stale.  Re-arm
+            # at the authoritative time, count it, and book its (tiny)
+            # cost under ``completion-stale`` so completion accounting
+            # stays honest.  A reference layer never gets here.
+            self._arm(record, record.completion_time)
+            self.stale_fires += 1
+            self.engine.recategorize_current_event("completion-stale")
+            profiling.count("completion-stale")
+            return
+        self._on_due(job_id)
+
+    # ------------------------------------------------------------------ #
+    # Checkpoint / restore
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Records as checkpoint rows, stashed progress, stale fires.
+
+        Model profiles and pinned nodes are re-derived on restore and
+        completion handles are reconnected by :meth:`rearm`, so neither
+        serializes.
+        """
+        return {
+            "running_gpu": {
+                job_id: record.row() for job_id, record in self.gpu_jobs.items()
+            },
+            "running_cpu": {
+                job_id: record.row() for job_id, record in self.cpu_jobs.items()
+            },
+            "stashed_progress": dict(self._stashed),
+            "stale_timer_fires": self.stale_fires,
+        }
+
+    def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
+        """Rebuild the records from :meth:`snapshot` rows (the cluster is
+        restored first).  Memos start cold: the first reprice recomputes
+        everything from restored cluster state, which is bit-identical
+        because the speed models are pure."""
+        self.gpu_jobs = {}
+        for job_id, row in state["running_gpu"].items():
+            cores, work_done, speed, utilization, last_update, due = row
+            job = jobs_by_id[job_id]
+            if not isinstance(job, GpuJob):
+                raise TypeError(f"checkpoint row for {job_id} is not a training job")
+            gpu = self.gpu_jobs[job_id] = _RunningGpu(
+                job=job,
+                work_done=float(work_done),
+                speed=float(speed),
+                last_update=float(last_update),
+                cores_per_node=int(cores),
+                utilization=float(utilization),
+                cluster=self.cluster,
+            )
+            gpu.completion_time = float(due)
+        self.cpu_jobs = {}
+        for job_id, row in state["running_cpu"].items():
+            node_id, cores, work_done, speed, last_update, straggle, due = row
+            job = jobs_by_id[job_id]
+            if not isinstance(job, CpuJob):
+                raise TypeError(f"checkpoint row for {job_id} is not a CPU job")
+            cpu = self.cpu_jobs[job_id] = _RunningCpu(
+                job=job,
+                work_done=float(work_done),
+                speed=float(speed),
+                last_update=float(last_update),
+                node_id=int(node_id),
+                cores=int(cores),
+                cluster=self.cluster,
+                straggle_factor=float(straggle),
+            )
+            cpu.completion_time = float(due)
+        self._stashed = {
+            job_id: float(progress)
+            for job_id, progress in state["stashed_progress"].items()
+        }
+        self.stale_fires = int(state["stale_timer_fires"])
+
+    def rearm(self) -> None:
+        """Re-claim the ``gpu-done:``/``cpu-done:`` timers from the engine
+        inventory (inside its restore window, after :meth:`restore`) and
+        verify no running job was left without one."""
+        engine = self.engine
+        for tag in engine.pending_rearm_tags():
+            family, _, job_id = tag.partition(":")
+            if family in ("gpu-done", "cpu-done"):
+                record = self.gpu_jobs.get(job_id) or self.cpu_jobs[job_id]
+                record.completion = engine.rearm(
+                    tag, lambda job_id=job_id: self._on_fire(job_id)
+                )
+        for job_id, running in chain(self.gpu_jobs.items(), self.cpu_jobs.items()):
+            if running.completion is None:
+                raise RuntimeError(
+                    f"restore left running job {job_id} without a "
+                    "completion event"
+                )
 
 
 @dataclass
@@ -198,6 +540,10 @@ def _env_auditor() -> Optional["InvariantAuditor"]:
 class SimulationRunner(SchedulerContext):
     """Drives one (trace, scheduler, cluster) simulation.
 
+    The runner keeps the event handlers, the scheduler-facing control
+    surface and the monitor-activity index; its :class:`JobPricing`
+    layer (``pricing``) prices the running jobs.
+
     ``reference=True`` runs the plain algorithms every speed layer must
     reproduce decision for decision (the parity suite's oracle): eager
     re-pricing and completion timers, every node on every monitor tick,
@@ -232,9 +578,9 @@ class SimulationRunner(SchedulerContext):
         self.fault_injector = fault_injector
         self.auditor = auditor if auditor is not None else _env_auditor()
         self._sample_interval_s = sample_interval_s
-        self._running_gpu: Dict[str, _RunningGpu] = {}
-        self._running_cpu: Dict[str, _RunningCpu] = {}
-        self._stashed_progress: Dict[str, float] = {}
+        self.pricing = JobPricing(
+            self.engine, cluster, self._on_complete, reference
+        )
         self._pass_pending = False
         self._preemptions = 0
         self._sampling = False
@@ -244,7 +590,6 @@ class SimulationRunner(SchedulerContext):
         self._cpu_incarnation: Dict[str, int] = {}
         self._straggle_count = 0
         self.reference = reference
-        self._stale_timer_fires = 0
         #: Nodes the eliminator must tick: hosts of CPU jobs or live
         #: throttles, plus telemetry-outage nodes until a successful
         #: observe clears them.  See the "Activity-indexed monitoring"
@@ -322,7 +667,7 @@ class SimulationRunner(SchedulerContext):
                 "flap_suppressions",
                 0,
             ),
-            stale_timer_fires=self._stale_timer_fires,
+            stale_timer_fires=self.pricing.stale_fires,
         )
 
     def _audit(self, event: str, job: Job, **detail: object) -> None:
@@ -352,7 +697,7 @@ class SimulationRunner(SchedulerContext):
         )
 
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
-        record = self._running_gpu.get(job_id)
+        record = self.pricing.gpu_jobs.get(job_id)
         if record is None:
             return False
         if cpus_per_node < 1:
@@ -371,31 +716,28 @@ class SimulationRunner(SchedulerContext):
         demand = memory_bandwidth_demand(
             record.profile, record.job.setup, cpus_per_node
         )
-        touched: Set[int] = set()
         for share in allocation.shares:
             self.cluster.node(share.node_id).bandwidth.update_demand(
                 job_id, demand
             )
-            touched.add(share.node_id)
-        self._refresh_nodes(touched)
+        self.pricing.touch(allocation.node_ids)
         return True
 
     def gpu_job_utilization(self, job_id: str) -> float:
-        record = self._running_gpu.get(job_id)
+        record = self.pricing.gpu_jobs.get(job_id)
         if record is None:
             raise KeyError(f"job {job_id} is not a running GPU job")
         return record.utilization
 
     def gpu_job_expected_utilization(self, job_id: str) -> float:
-        record = self._running_gpu.get(job_id)
+        record = self.pricing.gpu_jobs.get(job_id)
         if record is None:
             raise KeyError(f"job {job_id} is not a running GPU job")
-        allocation = self.cluster.allocation_of(job_id)
         quiet = iteration_time(
             record.profile,
             record.job.setup,
             record.cores_per_node,
-            interconnect=self.cluster.fabric.for_nodes(allocation.node_ids),
+            interconnect=record.interconnect,
         )
         return quiet.utilization
 
@@ -405,7 +747,7 @@ class SimulationRunner(SchedulerContext):
             return False
         node.mba.throttle_down(job_id)
         self.collector.throttle_events += 1
-        record = self._running_cpu.get(job_id)
+        record = self.pricing.cpu_jobs.get(job_id)
         if record is not None:
             self._audit(
                 "throttled",
@@ -413,16 +755,16 @@ class SimulationRunner(SchedulerContext):
                 node_id=node_id,
                 level=node.mba.throttle_level(job_id),
             )
-        self._refresh_nodes({node_id})
+        self.pricing.touch((node_id,))
         return True
 
     def release_cpu_throttle(self, job_id: str, node_id: int) -> None:
         node = self.cluster.node(node_id)
         node.mba.release(job_id)
-        self._refresh_nodes({node_id})
+        self.pricing.touch((node_id,))
 
     def halve_cpu_job_cores(self, job_id: str) -> None:
-        record = self._running_cpu.get(job_id)
+        record = self.pricing.cpu_jobs.get(job_id)
         if record is None:
             raise KeyError(f"job {job_id} is not a running CPU job")
         new_cores = max(1, record.cores // 2)
@@ -437,7 +779,7 @@ class SimulationRunner(SchedulerContext):
         self.collector.core_halving_events += 1
         self.scheduler.cpu_job_resized(job_id, new_cores, self.engine.now)
         self._audit("halved", record.job, cores=new_cores)
-        self._refresh_nodes({record.node_id})
+        self.pricing.touch((record.node_id,))
         self.request_schedule()
 
     def preempt_job(
@@ -584,18 +926,6 @@ class SimulationRunner(SchedulerContext):
                 llc_mb=GPU_JOB_LLC_MB,
                 pcie_gbps=pcie,
             )
-        work_done = self._stashed_progress.pop(job.job_id, 0.0)
-        record = _RunningGpu(
-            job=job,
-            profile=profile,
-            cores_per_node=cores,
-            work_done=work_done,
-            speed=0.0,
-            utilization=0.0,
-            last_update=now,
-            completion=None,  # type: ignore[arg-type]
-        )
-        self._running_gpu[job.job_id] = record
         self.collector.job_started(job.job_id, now, cores)
         self._audit(
             "started",
@@ -604,8 +934,7 @@ class SimulationRunner(SchedulerContext):
             nodes=list(allocation.node_ids),
             model=job.model_name,
         )
-        self._reprice_gpu(record)
-        self._refresh_nodes(set(allocation.node_ids))
+        self.pricing.start(job, allocation)
 
     def _start_cpu_job(
         self, job: CpuJob, allocation: Allocation, now: float
@@ -619,229 +948,21 @@ class SimulationRunner(SchedulerContext):
             is_inference=job.is_inference,
             llc_mb=job.llc_mb,
         )
-        record = _RunningCpu(
-            job=job,
-            node_id=share.node_id,
-            cores=share.cpus,
-            work_done=0.0,
-            speed=0.0,
-            last_update=now,
-            completion=None,  # type: ignore[arg-type]
-        )
-        self._running_cpu[job.job_id] = record
         self._monitor_activate(share.node_id)
         self._cpu_incarnation[job.job_id] = (
             self._cpu_incarnation.get(job.job_id, 0) + 1
         )
         self.collector.job_started(job.job_id, now, share.cpus)
         self._audit("started", job, cores=share.cpus, nodes=[share.node_id])
-        self._reprice_cpu(record)
-        self._refresh_nodes({share.node_id})
-
-    # ------------------------------------------------------------------ #
-    # Progress-based execution
-
-    def _accrue(self, record: _Running, now: float) -> None:
-        span = now - record.last_update
-        if span > 0:
-            record.work_done += record.speed * span
-        record.last_update = now
-
-    def _reprice_gpu(self, record: _RunningGpu) -> None:
-        """Re-price a training job's speed and re-aim its completion.
-
-        Two memo layers keep repeated touches cheap without changing a
-        single computed value (``iteration_time`` is a pure function of
-        the fingerprinted state, so reuse is bit-identical):
-
-        * ``reprice_memo`` — the contention epochs of every node the job
-          spans.  Matching epochs prove no grant, LLC occupancy or PCIe
-          demand the job can see has changed, so speed and utilization
-          are reused verbatim; within the same event instant the armed
-          completion target is provably unchanged too and the call
-          returns outright.
-        * ``state_memo`` — epochs moved but the derived
-          :class:`ContentionState` landed on the same value, so the
-          ``iteration_time`` call (and the idempotent utilization
-          re-writes) are skipped.
-        """
-        now = self.engine.now
-        job_id = record.job.job_id
-        allocation = record.allocation
-        if allocation is None:
-            # First reprice of this record (fresh start or checkpoint
-            # restore): pin the allocation, its interconnect, and the
-            # participating Node objects, all fixed for the record's
-            # lifetime.
-            allocation = record.allocation = self.cluster.allocation_of(job_id)
-            record.interconnect = self.cluster.fabric.for_nodes(
-                allocation.node_ids
-            )
-            record.nodes = [
-                self.cluster.node(share.node_id)
-                for share in allocation.shares
-            ]
-        nodes = record.nodes
-        eager = self.reference
-        fingerprint: Optional[Tuple[Any, ...]] = None
-        if not eager:
-            parts: List[Any] = [record.cores_per_node]
-            for node in nodes:
-                parts.append(node.bandwidth.epoch)
-                parts.append(node.contention_epoch)
-            fingerprint = tuple(parts)
-            if fingerprint == record.reprice_memo:
-                if record.last_update == now and record.completion is not None:
-                    return  # same instant, same epochs: armed target holds
-                self._accrue(record, now)
-                self._aim_completion(record, now)
-                return
-        self._accrue(record, now)
-        # Worst-case contention across the job's nodes (iterations are
-        # paced by the slowest participant), inlined over the pinned
-        # Node list.
-        grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
-        for node in nodes:
-            bandwidth = node.bandwidth
-            grant = min(grant, bandwidth.grant_ratio(job_id))
-            pressure = max(pressure, bandwidth.pressure)
-            llc = max(llc, node.llc_pressure)
-            pcie = min(pcie, node.pcie.grant_ratio())
-        contention = ContentionState(
-            bw_grant_ratio=max(grant, 1e-6),
-            node_bw_pressure=pressure,
-            llc_pressure=llc,
-            pcie_grant_ratio=pcie,
-        )
-        state_key = (record.cores_per_node,) + effect_key(contention)
-        if eager or state_key != record.state_memo:
-            breakdown = iteration_time(
-                record.profile,
-                record.job.setup,
-                record.cores_per_node,
-                contention,
-                interconnect=record.interconnect,
-            )
-            record.speed = 1.0 / breakdown.total_s
-            record.utilization = breakdown.utilization
-            for node in nodes:
-                node.set_gpu_utilization(job_id, record.utilization)
-            record.state_memo = state_key
-        record.reprice_memo = fingerprint
-        self._aim_completion(record, now)
-
-    def _reprice_cpu(self, record: _RunningCpu) -> None:
-        now = self.engine.now
-        node = record.node
-        if node is None:
-            # First reprice of this record (fresh start or checkpoint
-            # restore): pin the home node, fixed for its lifetime.
-            node = record.node = self.cluster.node(record.node_id)
-        fingerprint: Optional[Tuple[Any, ...]] = None
-        if not self.reference:
-            # Everything the speed model reads: core count, fault factor,
-            # and the bandwidth grant (covered by the monitor epoch).
-            fingerprint = (
-                record.cores,
-                record.straggle_factor,
-                node.bandwidth.epoch,
-            )
-            if fingerprint == record.reprice_memo:
-                if record.last_update == now and record.completion is not None:
-                    return
-                self._accrue(record, now)
-                self._aim_completion(record, now)
-                return
-        self._accrue(record, now)
-        core_factor = record.cores / record.job.cores
-        # HEAT-like jobs are pure bandwidth streamers and slow in direct
-        # proportion to their grant; ordinary CPU jobs are mostly
-        # compute-bound and only a small fraction of their work stalls.
-        grant = node.bandwidth.grant_ratio(record.job.job_id)
-        if record.job.is_heat:
-            bw_factor = grant
-        else:
-            bw_factor = (1.0 - ORDINARY_CPU_BW_BOUND) + ORDINARY_CPU_BW_BOUND * grant
-        record.speed = max(
-            1e-9, core_factor * bw_factor * record.straggle_factor
-        )
-        record.reprice_memo = fingerprint
-        self._aim_completion(record, now)
-
-    def _aim_completion(self, record: _Running, now: float) -> None:
-        remaining = record.total_work - record.work_done
-        target = now + max(0.0, remaining / record.speed)
-        record.completion_time = target
-        completion = record.completion
-        if completion is not None:
-            if not self.reference and target >= completion.time:
-                # Completion moved later (or held): leave the armed timer
-                # alone.  It fires stale, detects that completion_time is
-                # still ahead, and re-arms itself (validate-on-pop) —
-                # cheaper than a cancel+push on every node touch.
-                return
-            completion.cancel()
-        self._arm_completion(record, target)
-
-    def _arm_completion(self, record: _Running, when: float) -> None:
-        job_id = record.job.job_id
-        record.completion = self.engine.schedule(
-            when,
-            lambda job_id=job_id: self._on_complete(job_id),
-            priority=EventPriority.COMPLETION,
-            tag=record.done_tag,
-        )
-
-    def _refresh_nodes(self, node_ids: Set[int]) -> None:
-        """Re-price every job touching the given nodes.
-
-        Job ids land in lists (the ``seen`` set only guards against a
-        multi-node gang appearing under several of its nodes; CPU jobs
-        are single-node) and each list is sorted once — repricing keeps
-        the sorted-job-id order the decision stream depends on without
-        the build-a-set-then-``sorted()`` double sort this loop used to
-        pay on every event.
-        """
-        gpu_ids: List[str] = []
-        cpu_ids: List[str] = []
-        seen: Set[str] = set()
-        running_gpu = self._running_gpu
-        running_cpu = self._running_cpu
-        for node_id in sorted(node_ids):
-            for job_id in self.cluster.node(node_id).jobs_here():
-                if job_id in running_gpu:
-                    if job_id not in seen:
-                        seen.add(job_id)
-                        gpu_ids.append(job_id)
-                elif job_id in running_cpu:
-                    cpu_ids.append(job_id)
-        gpu_ids.sort()
-        cpu_ids.sort()
-        for job_id in gpu_ids:
-            self._reprice_gpu(running_gpu[job_id])
-        for job_id in cpu_ids:
-            self._reprice_cpu(running_cpu[job_id])
+        self.pricing.start(job, allocation)
 
     # ------------------------------------------------------------------ #
     # Completions and preemptions
 
     def _on_complete(self, job_id: str) -> None:
-        record = self._running_gpu.get(job_id) or self._running_cpu[job_id]
+        """A job's completion timer fired at its authoritative time."""
+        record, allocation = self._stop(job_id)
         now = self.engine.now
-        if record.completion_time > now:
-            # Validate-on-pop: repricing moved the completion later and
-            # left this timer armed early (see ``_aim_completion``), so
-            # the fire is stale.  Re-arm at the authoritative time, count
-            # it, and book its (tiny) cost under ``completion-stale`` so
-            # completion accounting stays honest.  In a reference run the
-            # armed time always equals ``completion_time`` and this never
-            # triggers.
-            self._arm_completion(record, record.completion_time)
-            self._stale_timer_fires += 1
-            self.engine.recategorize_current_event("completion-stale")
-            profiling.count("completion-stale")
-            return
-        _, allocation = self._stop(job_id)
         self.collector.job_finished(job_id, now)
         if isinstance(record, _RunningGpu):
             cores = {"cores_per_node": record.cores_per_node}
@@ -854,30 +975,24 @@ class SimulationRunner(SchedulerContext):
             queueing_s=self.collector.records[job_id].queueing_time,
         )
         self.scheduler.job_finished(record.job, now)
-        self._refresh_nodes(set(allocation.node_ids))
+        self.pricing.touch(allocation.node_ids)
         self.request_schedule()
 
-    def _stop(self, job_id: str) -> Tuple[_Running, Allocation]:
-        """Tear a running job down: drop its record, accrue its progress
-        to now, cancel its completion timer (a no-op for the timer now
-        firing) and release its allocation."""
-        record = self._running_gpu.pop(job_id, None) or self._running_cpu.pop(job_id)
-        self._accrue(record, self.engine.now)
-        record.completion.cancel()
+    def _stop(self, job_id: str) -> Tuple[Union[_RunningGpu, _RunningCpu], Allocation]:
+        """Tear a running job down: stop pricing it (its progress accrued
+        to now) and release its allocation."""
+        record = self.pricing.stop(job_id)
         return record, self.cluster.release(job_id)
-
-    def _is_running(self, job_id: str) -> bool:
-        return job_id in self._running_gpu or job_id in self._running_cpu
 
     def _execute_preempt(self, decision: PreemptDecision) -> None:
         job_id = decision.job_id
-        if not self._is_running(job_id):
+        if job_id not in self.pricing:
             raise RuntimeError(f"cannot preempt {job_id}: not running")
         record, allocation = self._stop(job_id)
         # Aborted CPU jobs restart from scratch.
         preserve = decision.preserve_progress and isinstance(record, _RunningGpu)
         if preserve:
-            self._stashed_progress[job_id] = record.work_done
+            self.pricing.stash(job_id, record.work_done)
         now = self.engine.now
         self._preemptions += 1
         self.collector.job_preempted(job_id, now)
@@ -888,7 +1003,7 @@ class SimulationRunner(SchedulerContext):
             progress_preserved=preserve,
         )
         self.scheduler.job_preempted(record.job, now, preserve_progress=preserve)
-        self._refresh_nodes(set(allocation.node_ids))
+        self.pricing.touch(allocation.node_ids)
 
     # ------------------------------------------------------------------ #
     # Infrastructure failures (driven by a FaultInjector)
@@ -961,19 +1076,19 @@ class SimulationRunner(SchedulerContext):
         self._record_node_strike(node_id, kind="telemetry")
 
     def running_cpu_job_ids(self) -> List[str]:
-        return list(self._running_cpu)
+        return list(self.pricing.cpu_jobs)
 
     def apply_cpu_straggler(
         self, job_id: str, *, factor: float, duration_s: float
     ) -> None:
         """Slow a running CPU job to ``factor`` of its speed for a while."""
-        record = self._running_cpu.get(job_id)
+        record = self.pricing.cpu_jobs.get(job_id)
         if record is None:
             return
         record.straggle_factor = factor
         self.collector.faults.stragglers += 1
         self._audit("straggler", record.job, factor=factor)
-        self._reprice_cpu(record)
+        self.pricing.reprice(record)
         # The tag carries the incarnation (for the heal check) and a
         # global straggle counter (for uniqueness when the same job is
         # straggled twice), so a checkpoint restore can rebuild this
@@ -992,11 +1107,11 @@ class SimulationRunner(SchedulerContext):
     def _end_straggler(self, job_id: str, incarnation: int) -> None:
         # Only heal the same incarnation: if the job finished or restarted
         # meanwhile, the stale timer must not touch the new record.
-        record = self._running_cpu.get(job_id)
+        record = self.pricing.cpu_jobs.get(job_id)
         if record is None or self._cpu_incarnation.get(job_id) != incarnation:
             return
         record.straggle_factor = 1.0
-        self._reprice_cpu(record)
+        self.pricing.reprice(record)
 
     def _record_node_strike(self, node_id: int, *, kind: str) -> None:
         """Charge one failure strike against a node's health record.
@@ -1047,7 +1162,7 @@ class SimulationRunner(SchedulerContext):
 
     def _execute_failure(self, job_id: str, *, reason: str) -> None:
         """Kill one running job because its hardware failed."""
-        if not self._is_running(job_id):
+        if job_id not in self.pricing:
             return  # already gone (e.g., completed at this same instant)
         record, allocation = self._stop(job_id)
         faults = self.collector.faults
@@ -1055,9 +1170,7 @@ class SimulationRunner(SchedulerContext):
             checkpoint = record.job.checkpointed_iterations(record.work_done)
             faults.lost_gpu_iterations += max(0.0, record.work_done - checkpoint)
             if checkpoint > 0:
-                self._stashed_progress[job_id] = checkpoint
-            else:
-                self._stashed_progress.pop(job_id, None)
+                self.pricing.stash(job_id, checkpoint)
         else:
             faults.lost_cpu_seconds += record.work_done
         now = self.engine.now
@@ -1065,7 +1178,7 @@ class SimulationRunner(SchedulerContext):
         self.collector.job_failed(job_id, now)
         self._audit("failed", record.job, reason=reason)
         self.scheduler.job_failed(record.job, now)
-        self._refresh_nodes(set(allocation.node_ids))
+        self.pricing.touch(allocation.node_ids)
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -1108,42 +1221,15 @@ class SimulationRunner(SchedulerContext):
     # Checkpoint / restore
 
     def snapshot(self) -> Dict[str, Any]:
-        """Serializable runner-core state (running jobs, pass flags).
-
-        Model profiles are re-derived from the catalog and completion
-        handles are reconnected by :meth:`rearm`, so neither serializes.
-        """
+        """Serializable runner-core state (the pricing layer's records,
+        pass flags, monitor activity)."""
         return {
-            "running_gpu": {
-                job_id: [
-                    r.cores_per_node,
-                    r.work_done,
-                    r.speed,
-                    r.utilization,
-                    r.last_update,
-                    r.completion_time,
-                ]
-                for job_id, r in self._running_gpu.items()
-            },
-            "running_cpu": {
-                job_id: [
-                    r.node_id,
-                    r.cores,
-                    r.work_done,
-                    r.speed,
-                    r.last_update,
-                    r.straggle_factor,
-                    r.completion_time,
-                ]
-                for job_id, r in self._running_cpu.items()
-            },
-            "stashed_progress": dict(self._stashed_progress),
+            **self.pricing.snapshot(),
             "pass_pending": self._pass_pending,
             "preemptions": self._preemptions,
             "sampling": self._sampling,
             "cpu_incarnation": dict(self._cpu_incarnation),
             "straggle_count": self._straggle_count,
-            "stale_timer_fires": self._stale_timer_fires,
             "monitor_active": sorted(self._monitor_active),
             "monitor_last_tick": self._monitor_last_tick,
             # +inf is not valid JSON; carry the unobservable veto as null.
@@ -1154,60 +1240,7 @@ class SimulationRunner(SchedulerContext):
         }
 
     def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        self._running_gpu = {}
-        for job_id, fields in state["running_gpu"].items():
-            (
-                cores,
-                work_done,
-                speed,
-                utilization,
-                last_update,
-                completion_time,
-            ) = fields
-            job = jobs_by_id[job_id]
-            assert isinstance(job, GpuJob)
-            # Memos start cold: the first reprice recomputes everything
-            # from restored cluster state, which is bit-identical because
-            # iteration_time is pure.
-            self._running_gpu[job_id] = _RunningGpu(
-                job=job,
-                profile=get_model(job.model_name),
-                cores_per_node=int(cores),
-                work_done=float(work_done),
-                speed=float(speed),
-                utilization=float(utilization),
-                last_update=float(last_update),
-                completion=None,  # type: ignore[arg-type]
-                completion_time=float(completion_time),
-            )
-        self._running_cpu = {}
-        for job_id, fields in state["running_cpu"].items():
-            (
-                node_id,
-                cores,
-                work_done,
-                speed,
-                last_update,
-                straggle,
-                completion_time,
-            ) = fields
-            job = jobs_by_id[job_id]
-            assert isinstance(job, CpuJob)
-            self._running_cpu[job_id] = _RunningCpu(
-                job=job,
-                node_id=int(node_id),
-                cores=int(cores),
-                work_done=float(work_done),
-                speed=float(speed),
-                last_update=float(last_update),
-                completion=None,  # type: ignore[arg-type]
-                straggle_factor=float(straggle),
-                completion_time=float(completion_time),
-            )
-        self._stashed_progress = {
-            job_id: float(progress)
-            for job_id, progress in state["stashed_progress"].items()
-        }
+        self.pricing.restore(state, jobs_by_id)
         self._pass_pending = bool(state["pass_pending"])
         self._preemptions = int(state["preemptions"])
         self._sampling = bool(state["sampling"])
@@ -1216,7 +1249,6 @@ class SimulationRunner(SchedulerContext):
             for job_id, count in state["cpu_incarnation"].items()
         }
         self._straggle_count = int(state["straggle_count"])
-        self._stale_timer_fires = int(state["stale_timer_fires"])
         self._monitor_active = {int(n) for n in state["monitor_active"]}
         raw_tick = state["monitor_last_tick"]
         self._monitor_last_tick = None if raw_tick is None else float(raw_tick)
@@ -1228,11 +1260,11 @@ class SimulationRunner(SchedulerContext):
     def rearm(self, jobs_by_id: Dict[str, Job]) -> None:
         """Re-claim every runner-owned timer from the engine inventory.
 
-        Runs inside an engine restore window, after :meth:`restore`;
-        completion handles are wired back into their running records, and
-        a final pass verifies no running job was left without one.
+        Runs inside an engine restore window, after :meth:`restore`; the
+        pricing layer claims the completion timers.
         """
         engine = self.engine
+        self.pricing.rearm()
         for tag in engine.pending_rearm_tags():
             family = tag.partition(":")[0]
             if family == "arrival":
@@ -1242,12 +1274,6 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(tag, self._on_sample)
             elif tag == "schedule-pass":
                 engine.rearm(tag, self._run_pass)
-            elif family in ("gpu-done", "cpu-done"):
-                job_id = tag.partition(":")[2]
-                record = self._running_gpu.get(job_id) or self._running_cpu[job_id]
-                record.completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_complete(job_id)
-                )
             elif family == "straggler-end":
                 _, job_id, incarnation, _count = tag.split(":")
                 engine.rearm(
@@ -1261,12 +1287,4 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(
                     tag,
                     lambda node_id=node_id: self._on_quarantine_end(node_id),
-                )
-        for job_id, running in chain(
-            self._running_gpu.items(), self._running_cpu.items()
-        ):
-            if running.completion is None:
-                raise RuntimeError(
-                    f"restore left running job {job_id} without a "
-                    "completion event"
                 )

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.coda import CodaConfig, CodaScheduler
-from repro.experiments.runner import RunResult
-from repro.experiments.scenarios import Scenario, run_scenario
+from repro.experiments.runner import RunResult, SimulationRunner
+from repro.experiments.scenarios import Scenario
 from repro.health.config import HealthConfig
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import Scheduler
@@ -107,16 +107,23 @@ class RunSpec:
             trace_config=replace(self.scenario.trace_config, seed=self.seed),
         )
 
-    def execute(self) -> RunResult:
-        """Run this spec to completion (in the calling process)."""
-        return run_scenario(
-            self.resolved_scenario(),
-            build_scheduler(
-                self.scheduler, self.coda_config, self.restart_policy
-            ),
+    def build_runner(self) -> SimulationRunner:
+        """A fresh runner for this spec, arrivals scheduled — the one
+        place a spec becomes a runner (plain, checkpointed and restored
+        runs all start here)."""
+        scenario = self.resolved_scenario()
+        return SimulationRunner(
+            scenario.build_cluster(),
+            build_scheduler(self.scheduler, self.coda_config, self.restart_policy),
+            scenario.build_trace(),
             sample_interval_s=self.sample_interval_s,
+            fault_injector=scenario.build_fault_injector(),
             health_config=self.health_config,
         )
+
+    def execute(self) -> RunResult:
+        """Run this spec to completion (in the calling process)."""
+        return self.build_runner().run(until=self.resolved_scenario().horizon_s)
 
     def fingerprint(self) -> Dict[str, Any]:
         """Plain-data identity of this spec, seed override resolved.

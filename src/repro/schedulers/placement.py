@@ -36,17 +36,6 @@ class FreeState:
     instead of one object per node — the construction cost is what every
     scheduling pass pays even on a perfect cache hit."""
 
-    #: Cumulative count of full snapshot rebuilds performed by
-    #: :meth:`of` (cache misses).  Exists for the memoization regression
-    #: test: with no intervening cluster/health mutation, repeated calls
-    #: must not rebuild.
-    rebuilds: int = 0
-    #: Cumulative count of *partial* refreshes: cache hits that only
-    #: re-read the nodes the cluster reported dirty (see
-    #: :meth:`repro.cluster.cluster.Cluster.dirty_capacity`) instead of
-    #: scanning all of them.
-    refreshes: int = 0
-
     def __init__(
         self,
         free: Dict[int, Tuple[int, int]],

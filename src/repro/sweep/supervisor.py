@@ -58,7 +58,6 @@ from typing import (
 from repro.checkpoint import (
     CheckpointError,
     CheckpointWriter,
-    build_runner,
     latest_checkpoint,
     read_checkpoint,
     restore_run,
@@ -309,7 +308,7 @@ def _execute_attempt(
             if notify is not None:
                 notify("restored", resume_path)
     if runner is None:
-        runner = build_runner(spec)
+        runner = spec.build_runner()
     if config.checkpoint_every_events is not None:
         runner.engine.add_observer(
             CheckpointWriter(

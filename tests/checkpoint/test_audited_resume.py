@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.checkpoint import build_runner
 from tests.checkpoint.test_restore import (
     _dumps,
     _faulted_spec,
@@ -35,7 +34,7 @@ def test_audited_resume_matches_uninterrupted_audited_run(monkeypatch, scheduler
 def test_unaudited_snapshot_has_no_auditor_state(monkeypatch):
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
     spec = _plain_spec()
-    assert build_runner(spec).auditor is None
+    assert spec.build_runner().auditor is None
     state = _snapshot_at(spec, kill_at=80)
     assert sorted(state) == ["cluster", "collector", "engine", "runner",
                              "scheduler", "spec"]

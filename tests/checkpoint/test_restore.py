@@ -14,7 +14,6 @@ import pytest
 from repro.checkpoint import (
     CheckpointError,
     CheckpointWriter,
-    build_runner,
     checkpoint_path,
     execute_with_checkpoints,
     latest_checkpoint,
@@ -58,7 +57,7 @@ def _faulted_spec(scheduler="coda"):
 def _snapshot_at(spec, kill_at):
     """Run ``spec`` for ``kill_at`` events (clock untouched past the
     horizon) and snapshot the torn-mid-run state."""
-    runner = build_runner(spec)
+    runner = spec.build_runner()
     runner.enable_sampling()  # match run(): the sampler is part of the trajectory
     horizon = spec.resolved_scenario().horizon_s
     while runner.engine.fired < kill_at:
@@ -136,7 +135,14 @@ class TestLoudFailures:
         with pytest.raises(CheckpointError):
             restore_run(_faulted_spec(), state)
 
+    def test_training_row_naming_a_cpu_job_raises(self):
+        state = _snapshot_at(_faulted_spec("fifo"), kill_at=150)
+        cpu_job_id = next(iter(state["runner"]["running_cpu"]))
+        state["runner"]["running_gpu"][cpu_job_id] = [4, 0.0, 1.0, 0.5, 0.0, 1e3]
+        with pytest.raises(CheckpointError, match="is not a training job"):
+            restore_run(_faulted_spec("fifo"), state)
+
     def test_writer_rejects_non_positive_interval(self, tmp_path):
-        runner = build_runner(_plain_spec())
+        runner = _plain_spec().build_runner()
         with pytest.raises(ValueError, match="interval"):
             CheckpointWriter(runner, str(tmp_path), 0)
